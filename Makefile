@@ -3,7 +3,7 @@
 # green pipeline — except the staticcheck job, which needs the tool
 # installed (see the staticcheck target below).
 
-.PHONY: build test race check fmt vet bench fuzz examples staticcheck
+.PHONY: build test race check fmt vet perfbench-build bench fuzz examples staticcheck
 
 build:
 	go build ./...
@@ -20,9 +20,17 @@ fmt:
 vet:
 	go vet ./...
 
+# perfbench is a module of its own, so `go build ./...` at the root
+# skips it; build and vet it explicitly so an API change that breaks
+# the benchmark fails here. -o /dev/null keeps the binary out of the
+# tree.
+perfbench-build:
+	go build -C perfbench -o /dev/null ./...
+	go vet -C perfbench ./...
+
 # race already executes the examples once via the root package's
 # TestExamplesBuildAndRun smoke, so check does not repeat them.
-check: vet build race
+check: vet build perfbench-build race
 
 # examples builds and runs every examples/* program — executable
 # documentation of the public blobvfs API. Each must exit cleanly.

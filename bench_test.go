@@ -173,13 +173,9 @@ func BenchmarkFlashCrowd256(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			p := experiments.Quick()
-			var pt experiments.FlashCrowdPoint
+			var pt experiments.CrowdPoint
 			for i := 0; i < b.N; i++ {
-				pt = experiments.RunFlashCrowd(p, experiments.FlashCrowdConfig{
-					Instances: 256,
-					Providers: 8,
-					Sharing:   sharing,
-				})
+				pt = experiments.RunCrowd(p, experiments.FlashCrowd(256, sharing))
 			}
 			b.ReportMetric(float64(pt.ProviderReads), "provider-reads")
 			b.ReportMetric(float64(pt.MaxProviderReads), "hottest-provider-reads")
@@ -220,13 +216,9 @@ func BenchmarkFlashCrowd10k(b *testing.B) {
 
 func benchFlashCrowdScale(b *testing.B, instances int) {
 	p := experiments.Quick()
-	var pt experiments.FlashCrowdPoint
+	var pt experiments.CrowdPoint
 	for i := 0; i < b.N; i++ {
-		pt = experiments.RunFlashCrowd(p, experiments.FlashCrowdConfig{
-			Instances: instances,
-			Providers: 8,
-			Sharing:   true,
-		})
+		pt = experiments.RunCrowd(p, experiments.FlashCrowd(instances, true))
 		if pt.Booted != instances {
 			b.Fatalf("only %d of %d instances booted", pt.Booted, instances)
 		}
@@ -246,7 +238,7 @@ func benchFlashCrowdScale(b *testing.B, instances int) {
 // configuration. The headline metrics are the resilience costs: the
 // completion-time penalty of losing 8 providers, how many reads failed
 // over, and how many chunk copies re-replication recreated. Every
-// instance must still complete — RunDegraded panics otherwise, failing
+// instance must still complete — RunCrowd panics otherwise, failing
 // the benchmark.
 func BenchmarkFlashCrowdDegraded(b *testing.B) {
 	for _, kill := range []int{0, 8} {
@@ -257,13 +249,9 @@ func BenchmarkFlashCrowdDegraded(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			p := experiments.Quick()
-			var pt experiments.DegradedPoint
+			var pt experiments.CrowdPoint
 			for i := 0; i < b.N; i++ {
-				pt = experiments.RunDegraded(p, experiments.DegradedConfig{
-					Instances: 256,
-					Sharing:   true,
-					Kill:      kill,
-				})
+				pt = experiments.RunCrowd(p, experiments.Degraded(256, kill))
 			}
 			b.ReportMetric(float64(pt.Booted), "booted")
 			b.ReportMetric(float64(pt.Failovers), "failovers")
@@ -285,14 +273,7 @@ func BenchmarkFlashCrowdDegraded(b *testing.B) {
 // fails the benchmark if it ever regresses below that.
 func BenchmarkFlashCrowdCrossZone(b *testing.B) {
 	const perZone = 64
-	run := func(aware bool) experiments.CrossZonePoint {
-		return experiments.RunCrossZone(experiments.Quick(), experiments.CrossZoneConfig{
-			InstancesPerZone: perZone,
-			Aware:            aware,
-			Sharing:          true,
-		})
-	}
-	var flat, awarePt experiments.CrossZonePoint
+	var flatBytes, awareBytes int64 // traffic across zone interconnects
 	for _, aware := range []bool{false, true} {
 		aware := aware
 		name := "flat"
@@ -300,28 +281,29 @@ func BenchmarkFlashCrowdCrossZone(b *testing.B) {
 			name = "aware"
 		}
 		b.Run(name, func(b *testing.B) {
-			var pt experiments.CrossZonePoint
+			var pt experiments.CrowdPoint
 			for i := 0; i < b.N; i++ {
-				pt = run(aware)
+				pt = experiments.RunCrowd(experiments.Quick(), experiments.CrossZone(perZone, aware, true))
 			}
+			crossZone := pt.TierBytes[cluster.TierRemote]
 			if aware {
-				awarePt = pt
+				awareBytes = crossZone
 			} else {
-				flat = pt
+				flatBytes = crossZone
 			}
-			b.ReportMetric(float64(pt.CrossZoneBytes)/1e6, "cross-zone-MB")
+			b.ReportMetric(float64(crossZone)/1e6, "cross-zone-MB")
 			b.ReportMetric(float64(pt.TierBytes[cluster.TierZone])/1e6, "zone-local-MB")
 			b.ReportMetric(float64(pt.ProviderReads), "provider-reads")
 			b.ReportMetric(float64(pt.PeerReads), "peer-reads")
 			b.ReportMetric(pt.Completion, "completion-s")
 		})
 	}
-	if flat.CrossZoneBytes > 0 && awarePt.CrossZoneBytes > 0 {
-		ratio := float64(flat.CrossZoneBytes) / float64(awarePt.CrossZoneBytes)
+	if flatBytes > 0 && awareBytes > 0 {
+		ratio := float64(flatBytes) / float64(awareBytes)
 		b.ReportMetric(ratio, "cross-zone-reduction-x")
 		if ratio < 2 {
 			b.Fatalf("topology awareness cut cross-zone bytes only %.2fx (flat %d, aware %d), want >= 2x",
-				ratio, flat.CrossZoneBytes, awarePt.CrossZoneBytes)
+				ratio, flatBytes, awareBytes)
 		}
 	}
 }
@@ -337,15 +319,7 @@ func BenchmarkFlashCrowdCrossZone(b *testing.B) {
 // arms.
 func BenchmarkFlashCrowdMetaOutage(b *testing.B) {
 	const instances = 256
-	run := func(outage bool) experiments.MetaOutagePoint {
-		mc := experiments.MetaOutageConfig{Instances: instances, Sharing: true}
-		if outage {
-			mc.KillMeta = 8
-			mc.KillRack = true
-		}
-		return experiments.RunMetaOutage(experiments.Quick(), mc)
-	}
-	var healthy, hit experiments.MetaOutagePoint
+	var healthy, hit experiments.CrowdPoint
 	for _, outage := range []bool{false, true} {
 		outage := outage
 		name := "healthy"
@@ -353,9 +327,13 @@ func BenchmarkFlashCrowdMetaOutage(b *testing.B) {
 			name = "outage"
 		}
 		b.Run(name, func(b *testing.B) {
-			var pt experiments.MetaOutagePoint
+			s := experiments.MetaOutage(instances, 0, false)
+			if outage {
+				s = experiments.MetaOutage(instances, 8, true)
+			}
+			var pt experiments.CrowdPoint
 			for i := 0; i < b.N; i++ {
-				pt = run(outage)
+				pt = experiments.RunCrowd(experiments.Quick(), s)
 			}
 			if outage {
 				hit = pt
@@ -639,7 +617,9 @@ func BenchmarkMaxMinRecompute(b *testing.B) {
 	env.RunUntil(0.001)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Each Start triggers one full recomputation over ~110 flows.
+		// Each Start triggers one incremental recomputation: only the
+		// flows sharing a connected link component with the new flow
+		// (of the ~110 active) have their max-min rates refilled.
 		f := net.Start(1e12, up[i%111], down[(i*53+7)%111])
 		_ = f
 	}

@@ -21,8 +21,7 @@
 // healthy baseline at the same replication (docs/faults.md), sync the
 // disconnected-site workflow: an upstream lineage shipped to a
 // downstream repository on a disjoint provider pool as one full
-// archive plus per-commit deltas (docs/sync.md). -quick
-// runs the
+// archive plus per-commit deltas (docs/sync.md). -quick runs the
 // scaled-down parameter set (shapes preserved, absolute values not
 // comparable to the paper).
 package main
@@ -44,7 +43,8 @@ func main() {
 	quick := flag.Bool("quick", false, "scaled-down parameters (fast; shapes only)")
 	seed := flag.Int64("seed", 0, "override the experiment seed")
 	sweepArg := flag.String("sweep", "", "comma-separated instance counts (default 1,10,30,50,70,90,110)")
-	instances := flag.Int("instances", 0, "instance count for fig8/flash/churn/degraded (defaults 100/256/32/256, or 16/64/8/64 with -quick)")
+	instances := flag.Int("instances", 0, "instance count for fig8/flash/churn/degraded/crosszone/multisnap/metaoutage, "+
+		"crosszone split over its 3 zones (defaults 100/256/32/256/180/256/256, or 16/64/8/64/60/64/64 with -quick)")
 	cycles := flag.Int("cycles", 8, "snapshot cycles for churn")
 	keep := flag.Int("keep", 2, "keep-last-K retention window for churn (0 = no retention)")
 	kill := flag.Int("kill", 8, "providers killed mid-run for degraded and metaoutage")
@@ -121,9 +121,10 @@ func main() {
 		return []*metrics.Table{experiments.RunFig8(p, fig8N).Table()}
 	}
 	flash := func() []*metrics.Table {
-		off := experiments.RunFlashCrowd(p, experiments.FlashCrowdConfig{Instances: flashN})
-		on := experiments.RunFlashCrowd(p, experiments.FlashCrowdConfig{Instances: flashN, Sharing: true})
-		return []*metrics.Table{experiments.FlashCrowdTable([]experiments.FlashCrowdPoint{off, on})}
+		return []*metrics.Table{experiments.FlashCrowdTable([]experiments.CrowdPoint{
+			experiments.RunCrowd(p, experiments.FlashCrowd(flashN, false)),
+			experiments.RunCrowd(p, experiments.FlashCrowd(flashN, true)),
+		})}
 	}
 	churn := func() []*metrics.Table {
 		pt := experiments.RunChurn(p, experiments.ChurnConfig{
@@ -143,43 +144,31 @@ func main() {
 		}
 		return tables
 	}
-	degraded := func() []*metrics.Table {
-		const degradedProviders = 16 // RunDegraded's default pool size
-		if *kill < 0 || *kill >= degradedProviders {
-			fmt.Fprintf(os.Stderr, "vmdeploy: -kill %d out of range [0,%d)\n", *kill, degradedProviders)
+	// killed runs the healthy and the -kill arm of a crowd preset;
+	// -kill must leave at least one of the preset's providers alive.
+	killed := func(healthy, hit experiments.CrowdSpec) []experiments.CrowdPoint {
+		if *kill < 0 || *kill >= hit.Providers {
+			fmt.Fprintf(os.Stderr, "vmdeploy: -kill %d out of range [0,%d)\n", *kill, hit.Providers)
 			os.Exit(2)
 		}
-		dc := experiments.DegradedConfig{Instances: degradedN, Sharing: true}
-		healthy := experiments.RunDegraded(p, dc)
-		dc.Kill = *kill
-		hit := experiments.RunDegraded(p, dc)
-		return []*metrics.Table{experiments.DegradedTable([]experiments.DegradedPoint{healthy, hit})}
+		return []experiments.CrowdPoint{experiments.RunCrowd(p, healthy), experiments.RunCrowd(p, hit)}
+	}
+	degraded := func() []*metrics.Table {
+		return []*metrics.Table{experiments.DegradedTable(killed(
+			experiments.Degraded(degradedN, 0), experiments.Degraded(degradedN, *kill)))}
 	}
 	crosszone := func() []*metrics.Table {
-		var pts []experiments.CrossZonePoint
+		var pts []experiments.CrowdPoint
 		for _, sharing := range []bool{false, true} {
 			for _, aware := range []bool{false, true} {
-				pts = append(pts, experiments.RunCrossZone(p, experiments.CrossZoneConfig{
-					InstancesPerZone: crossN,
-					Aware:            aware,
-					Sharing:          sharing,
-				}))
+				pts = append(pts, experiments.RunCrowd(p, experiments.CrossZone(crossN, aware, sharing)))
 			}
 		}
 		return []*metrics.Table{experiments.CrossZoneTable(pts)}
 	}
 	metaoutage := func() []*metrics.Table {
-		const metaProviders = 16 // RunMetaOutage's default pool size
-		if *kill < 0 || *kill >= metaProviders {
-			fmt.Fprintf(os.Stderr, "vmdeploy: -kill %d out of range [0,%d)\n", *kill, metaProviders)
-			os.Exit(2)
-		}
-		mc := experiments.MetaOutageConfig{Instances: flashN, Sharing: true}
-		healthy := experiments.RunMetaOutage(p, mc)
-		mc.KillMeta = *kill
-		mc.KillRack = true
-		outage := experiments.RunMetaOutage(p, mc)
-		return []*metrics.Table{experiments.MetaOutageTable([]experiments.MetaOutagePoint{healthy, outage})}
+		return []*metrics.Table{experiments.MetaOutageTable(killed(
+			experiments.MetaOutage(flashN, 0, false), experiments.MetaOutage(flashN, *kill, true)))}
 	}
 	multisnap := func() []*metrics.Table {
 		var pts []experiments.MultisnapshotPoint

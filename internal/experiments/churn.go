@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"blobvfs"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
-	"blobvfs/internal/p2p"
 	"blobvfs/internal/sim"
 )
 
@@ -99,7 +99,11 @@ func RunChurn(p Params, cc ChurnConfig) ChurnPoint {
 		cc.HotBytes = p.ImageSize
 	}
 
-	sp := newSmallPool(p, cc.Instances, cc.Providers, cc.Sharing, p2p.DefaultConfig(), cluster.Topology{})
+	var opts []blobvfs.Option
+	if cc.Sharing {
+		opts = append(opts, blobvfs.WithP2P())
+	}
+	sp := newPool(p, flatLayout(cc.Instances, cc.Providers), opts...)
 	sys := sp.Sys
 	if cc.KeepLast > 0 {
 		sp.Orch.Retention = middleware.RetentionPolicy{KeepLast: cc.KeepLast}
@@ -183,16 +187,9 @@ func ChurnTable(pt ChurnPoint) *metrics.Table {
 			itoa(s.Chunks),
 			ftoa(s.StoredMB),
 			itoa(s.MetaNodes),
-			fmt.Sprintf("%d", s.Reclaimed),
+			i64toa(s.Reclaimed),
 			itoa(s.Retired),
 		)
 	}
 	return t
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
 }

@@ -213,9 +213,10 @@ func TestDeterministicExperiments(t *testing.T) {
 	}
 	// The degraded scenario must be deterministic fault injection and
 	// all: same seed, same victims, same kill times, same counters.
-	dc := DegradedConfig{Instances: 8, Providers: 6, Kill: 2, Sharing: true}
-	da := RunDegraded(p, dc)
-	db := RunDegraded(p, dc)
+	dc := Degraded(8, 2)
+	dc.Providers = 6
+	da := RunCrowd(p, dc)
+	db := RunCrowd(p, dc)
 	if da != db {
 		t.Fatalf("nondeterministic degraded point: %+v vs %+v", da, db)
 	}

@@ -18,9 +18,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden fil
 func goldenScenarios() map[string]func(Params) []*metrics.Table {
 	return map[string]func(Params) []*metrics.Table{
 		"flash": func(p Params) []*metrics.Table {
-			off := RunFlashCrowd(p, FlashCrowdConfig{Instances: 64})
-			on := RunFlashCrowd(p, FlashCrowdConfig{Instances: 64, Sharing: true})
-			return []*metrics.Table{FlashCrowdTable([]FlashCrowdPoint{off, on})}
+			return []*metrics.Table{FlashCrowdTable([]CrowdPoint{
+				RunCrowd(p, FlashCrowd(64, false)), RunCrowd(p, FlashCrowd(64, true)),
+			})}
 		},
 		"churn": func(p Params) []*metrics.Table {
 			kept := RunChurn(p, ChurnConfig{Instances: 8, Cycles: 8, KeepLast: 2})
@@ -28,17 +28,15 @@ func goldenScenarios() map[string]func(Params) []*metrics.Table {
 			return []*metrics.Table{ChurnTable(kept), ChurnTable(base)}
 		},
 		"degraded": func(p Params) []*metrics.Table {
-			healthy := RunDegraded(p, DegradedConfig{Instances: 64, Sharing: true})
-			hit := RunDegraded(p, DegradedConfig{Instances: 64, Sharing: true, Kill: 8})
-			return []*metrics.Table{DegradedTable([]DegradedPoint{healthy, hit})}
+			return []*metrics.Table{DegradedTable([]CrowdPoint{
+				RunCrowd(p, Degraded(64, 0)), RunCrowd(p, Degraded(64, 8)),
+			})}
 		},
 		"crosszone": func(p Params) []*metrics.Table {
-			var pts []CrossZonePoint
+			var pts []CrowdPoint
 			for _, sharing := range []bool{false, true} {
 				for _, aware := range []bool{false, true} {
-					pts = append(pts, RunCrossZone(p, CrossZoneConfig{
-						InstancesPerZone: 20, Aware: aware, Sharing: sharing,
-					}))
+					pts = append(pts, RunCrowd(p, CrossZone(20, aware, sharing)))
 				}
 			}
 			return []*metrics.Table{CrossZoneTable(pts)}
@@ -49,9 +47,9 @@ func goldenScenarios() map[string]func(Params) []*metrics.Table {
 			return []*metrics.Table{MultisnapshotTable([]MultisnapshotPoint{off, on})}
 		},
 		"metaoutage": func(p Params) []*metrics.Table {
-			healthy := RunMetaOutage(p, MetaOutageConfig{Instances: 64, Sharing: true})
-			outage := RunMetaOutage(p, MetaOutageConfig{Instances: 64, Sharing: true, KillMeta: 8, KillRack: true})
-			return []*metrics.Table{MetaOutageTable([]MetaOutagePoint{healthy, outage})}
+			return []*metrics.Table{MetaOutageTable([]CrowdPoint{
+				RunCrowd(p, MetaOutage(64, 0, false)), RunCrowd(p, MetaOutage(64, 8, true)),
+			})}
 		},
 	}
 }

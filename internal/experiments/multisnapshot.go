@@ -7,7 +7,6 @@ import (
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/metrics"
 	"blobvfs/internal/middleware"
-	"blobvfs/internal/p2p"
 	"blobvfs/internal/sim"
 )
 
@@ -82,7 +81,7 @@ func RunMultisnapshot(p Params, mc MultisnapshotConfig) MultisnapshotPoint {
 	if mc.Batched {
 		extra = append(extra, blobvfs.WithBatchedCommit())
 	}
-	sp := newSmallPool(p, mc.Instances, mc.Providers, false, p2p.Config{}, cluster.Topology{}, extra...)
+	sp := newPool(p, flatLayout(mc.Instances, mc.Providers), extra...)
 	sp.Orch.Pipeline = mc.Batched
 
 	writes0 := sp.Sys.Providers.Writes.Load()

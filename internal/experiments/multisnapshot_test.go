@@ -6,7 +6,6 @@ import (
 	"blobvfs"
 	"blobvfs/internal/cluster"
 	"blobvfs/internal/middleware"
-	"blobvfs/internal/p2p"
 	"blobvfs/internal/sim"
 )
 
@@ -14,13 +13,13 @@ import (
 // dirties each with one round of §5.3 writes, and commits them all
 // concurrently (first snapshot, so CLONE+COMMIT). It returns the pool
 // for counter inspection.
-func herdCommit(t *testing.T, p Params, instances, providers int, batched bool) *smallPool {
+func herdCommit(t *testing.T, p Params, instances, providers int, batched bool) *crowdPool {
 	t.Helper()
 	var extra []blobvfs.Option
 	if batched {
 		extra = append(extra, blobvfs.WithBatchedCommit())
 	}
-	sp := newSmallPool(p, instances, providers, false, p2p.Config{}, cluster.Topology{}, extra...)
+	sp := newPool(p, flatLayout(instances, providers), extra...)
 	sp.Orch.Pipeline = batched
 	sp.Fab.Run(func(ctx *cluster.Ctx) {
 		insts := make([]*middleware.Instance, instances)

@@ -8,8 +8,7 @@ import (
 )
 
 // Params bundles every calibrated constant of the evaluation. All
-// values come from §5.1 of the paper unless flagged as calibrated in
-// DESIGN.md §6.
+// values come from §5.1 of the paper unless flagged as calibrated.
 type Params struct {
 	// MaxInstances is the largest sweep point (one VM per node).
 	MaxInstances int

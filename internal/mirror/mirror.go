@@ -14,13 +14,6 @@ type Config struct {
 	// OpOverhead is the per-operation user/kernel crossing cost of the
 	// FUSE layer in seconds (context switches, §4.1 of the paper).
 	OpOverhead float64
-	// MetadataPrefetch resolves the mirrored snapshot's complete chunk
-	// map in one batched level-order descent at Open. The whole segment
-	// tree of even a 2 GB image is ~1 MB of 64-byte nodes, so paying
-	// depth rounds once lets every demand fetch afterwards skip tree
-	// descent (and its metadata RPCs) entirely — the metadata analogue
-	// of the paper's "fetch the full minimal chunk set" strategy 1.
-	MetadataPrefetch bool
 	// FetchRetries is how many times a remote chunk fetch that failed
 	// because every replica was down (blob.ErrNoReplica) is retried
 	// before the error propagates to the hypervisor. Between attempts
@@ -38,11 +31,11 @@ type Config struct {
 	BatchedCommit bool
 }
 
-// DefaultConfig returns the calibrated FUSE crossing cost, with
-// metadata prefetch at open enabled and two fetch retries 50 ms apart
-// (enough for one synchronous re-replication round to land).
+// DefaultConfig returns the calibrated FUSE crossing cost and two fetch
+// retries 50 ms apart (enough for one synchronous re-replication round
+// to land).
 func DefaultConfig() Config {
-	return Config{OpOverhead: 20e-6, MetadataPrefetch: true, FetchRetries: 2, RetryDelay: 0.05}
+	return Config{OpOverhead: 20e-6, FetchRetries: 2, RetryDelay: 0.05}
 }
 
 // Module is the per-node mirroring module. It owns the node's local
@@ -184,11 +177,15 @@ func (m *Module) Open(ctx *cluster.Ctx, id blob.ID, v blob.Version, real bool) (
 	if err := m.client.PinVersion(id, v); err != nil {
 		return nil, err
 	}
-	if m.cfg.MetadataPrefetch {
-		if err := m.client.PrefetchExtents(ctx, id, v); err != nil {
-			m.client.UnpinVersion(id, v)
-			return nil, err
-		}
+	// Resolve the snapshot's complete chunk map in one batched
+	// level-order descent. The whole segment tree of even a 2 GB image
+	// is ~1 MB of 64-byte nodes, so paying depth rounds once lets every
+	// demand fetch afterwards skip tree descent (and its metadata RPCs)
+	// entirely — the metadata analogue of the paper's "fetch the full
+	// minimal chunk set" strategy 1.
+	if err := m.client.PrefetchExtents(ctx, id, v); err != nil {
+		m.client.UnpinVersion(id, v)
+		return nil, err
 	}
 	im := &Image{
 		mod: m, blobID: id, version: v, info: inf, open: true,

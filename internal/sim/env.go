@@ -29,8 +29,9 @@ type Env struct {
 	// large simulations.
 	free []*Event
 	// freeWorkers recycles the goroutines behind finished processes
-	// (see Env.Go); freeBatches recycles the waiter slices handed to
-	// batch resume events (see Cond.Broadcast).
+	// (see Env.Go) until the queue drains (see retireWorkers);
+	// freeBatches recycles the waiter slices handed to batch resume
+	// events (see Cond.Broadcast).
 	freeWorkers []*worker
 	freeBatches [][]*Proc
 }
@@ -222,4 +223,20 @@ func (e *Env) RunUntil(limit float64) {
 	if limit >= 0 && e.now < limit {
 		e.now = limit
 	}
+	if len(e.events) == 0 {
+		e.retireWorkers()
+	}
+}
+
+// retireWorkers ends the goroutines parked in the worker pool. Once the
+// queue drains nothing can start a process until the caller schedules
+// more work, and an environment that is never run again would
+// otherwise keep its pooled goroutines parked forever; the next Go
+// spawns fresh workers.
+func (e *Env) retireWorkers() {
+	for i, w := range e.freeWorkers {
+		close(w.jobs)
+		e.freeWorkers[i] = nil
+	}
+	e.freeWorkers = e.freeWorkers[:0]
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestCancelReleasesClosure: a canceled or fired event must drop its
@@ -169,5 +171,41 @@ func TestSemaphoreRingGrowth(t *testing.T) {
 		if got != i {
 			t.Fatalf("admission order[%d] = %d, want %d (full order %v)", i, got, i, order)
 		}
+	}
+}
+
+// TestRunRetiresIdleWorkers: pooled worker goroutines must not outlive
+// the run that used them. Several environments each start thousands of
+// processes; once every Run has drained its queue the goroutine count
+// returns to where it started. Go after a drain still works: it spawns
+// a fresh worker.
+func TestRunRetiresIdleWorkers(t *testing.T) {
+	start := runtime.NumGoroutine()
+	var envs []*Env
+	for i := 0; i < 3; i++ {
+		e := New()
+		for j := 0; j < 2000; j++ {
+			e.Go("p", func(p *Proc) { p.Sleep(float64(j % 7)) })
+		}
+		e.Run()
+		if e.Procs() != 0 {
+			t.Fatalf("env %d: %d processes left after Run", i, e.Procs())
+		}
+		envs = append(envs, e)
+	}
+	// Retired goroutines exit asynchronously; give them a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("%d goroutines after the runs drained, started with %d", n, start)
+	}
+
+	ran := false
+	envs[0].Go("again", func(p *Proc) { ran = true })
+	envs[0].Run()
+	if !ran {
+		t.Fatal("process started after a drain never ran")
 	}
 }

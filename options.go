@@ -17,7 +17,6 @@ type config struct {
 	metaReplicas int
 	chunkSize    int
 	mirror       mirror.Config
-	extentCap    int // 0 keeps the client default
 	p2p          *P2PConfig
 	retainLast   int // 0 disables the repo-level retention default
 	dedup        bool
@@ -69,19 +68,6 @@ func WithChunkSize(bytes int) Option {
 	return func(c *config) { c.chunkSize = bytes }
 }
 
-// WithMetadataPrefetch toggles resolving a snapshot's complete chunk
-// map in one batched descent when a disk opens, so demand fetches skip
-// tree descent entirely. Default: on.
-func WithMetadataPrefetch(on bool) Option {
-	return func(c *config) { c.mirror.MetadataPrefetch = on }
-}
-
-// WithOpOverhead sets the per-operation user/kernel crossing cost of
-// the mirroring layer in seconds. Default: the calibrated FUSE cost.
-func WithOpOverhead(seconds float64) Option {
-	return func(c *config) { c.mirror.OpOverhead = seconds }
-}
-
 // WithP2P enables peer-to-peer chunk sharing: deployment cohorts
 // registered with Repo.Share serve each other's demand fetches before
 // falling back to the providers. At most one P2PConfig may be given;
@@ -102,13 +88,6 @@ func WithP2P(cfg ...P2PConfig) Option {
 // default) means no implicit retention.
 func WithRetention(keepLast int) Option {
 	return func(c *config) { c.retainLast = keepLast }
-}
-
-// WithExtentCacheCap bounds how many (image, version) flattened chunk
-// maps each node's client keeps cached. Default: the client's
-// built-in cap.
-func WithExtentCacheCap(n int) Option {
-	return func(c *config) { c.extentCap = n }
 }
 
 // WithDedup enables content deduplication on the provider set:

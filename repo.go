@@ -193,9 +193,6 @@ func (r *Repo) module(node NodeID) *mirror.Module {
 	m, ok := r.modules[node]
 	if !ok {
 		c := blob.NewClient(r.sys)
-		if r.cfg.extentCap > 0 {
-			c.SetExtentCacheCap(r.cfg.extentCap)
-		}
 		if r.cfg.batched {
 			c.SetWriteBatching(true)
 		}
