@@ -63,6 +63,7 @@ type CrowdSpec struct {
 	layout layoutKind
 }
 
+// layoutKind selects RunCrowd's node layout; only presets set it.
 type layoutKind int
 
 const (
@@ -155,6 +156,9 @@ type CrowdPoint struct {
 // upload is excluded from the measurements, as in the other
 // experiments.
 func RunCrowd(p Params, s CrowdSpec) CrowdPoint {
+	if s.Instances < 1 {
+		panic("experiments: a crowd needs at least one instance")
+	}
 	var l crowdLayout
 	switch s.layout {
 	case layoutZones:
@@ -168,9 +172,6 @@ func RunCrowd(p Params, s CrowdSpec) CrowdPoint {
 }
 
 func runCrowd(p Params, s CrowdSpec, l crowdLayout) CrowdPoint {
-	if s.Instances < 1 {
-		panic("experiments: a crowd needs at least one instance")
-	}
 	if s.Kill < 0 || s.Kill >= len(l.prov) {
 		panic(fmt.Sprintf("experiments: cannot kill %d of %d providers", s.Kill, len(l.prov)))
 	}
