@@ -8,9 +8,11 @@
 //     with the flat and aware interconnect byte counts and the
 //     reduction factor topology awareness achieved.
 //   - family multisnapshot → BENCH_multisnapshot.json: the
-//     multisnapshot write-path benchmark lines, plus a multisnapshot
-//     summary with the unbatched and batched write RPCs per commit
-//     round, the reduction factor, and both arms' ns/op.
+//     BenchmarkMultisnapshot1024 lines, plus a multisnapshot summary
+//     with the per-chunk and actual write RPCs per commit round, the
+//     reduction factor batching achieves, and ns/op. The family fails
+//     when the benchmark line is missing rather than writing a file
+//     without its summary.
 //   - family metaoutage → BENCH_metaoutage.json: the metadata-outage
 //     benchmark lines, plus a meta_outage summary with both arms'
 //     completion times, the outage delta, and the metadata failover,
@@ -59,15 +61,30 @@ type crossZone struct {
 }
 
 // multisnapshot is the headline summary of the write-path batching:
-// provider write RPCs (chunk Puts + metadata Puts) per commit round in
-// the unbatched and batched arms, the reduction factor, and both arms'
-// wall-clock ns/op (cpu=1 rows; the simulation is deterministic).
+// the write RPCs per commit round a per-chunk protocol would issue
+// (chunk writes + metadata puts), the write RPCs actually issued
+// (chunk-put + metadata-put RPCs), the reduction factor, and
+// wall-clock ns/op (cpu=1 row; the simulation is deterministic).
 type multisnapshot struct {
-	UnbatchedWriteRPCs float64 `json:"unbatched_write_rpcs"`
-	BatchedWriteRPCs   float64 `json:"batched_write_rpcs"`
-	ReductionX         float64 `json:"reduction_x"`
-	UnbatchedNsOp      float64 `json:"unbatched_ns_op"`
-	BatchedNsOp        float64 `json:"batched_ns_op"`
+	PerChunkWriteRPCs float64 `json:"per_chunk_write_rpcs"`
+	WriteRPCs         float64 `json:"write_rpcs"`
+	ReductionX        float64 `json:"reduction_x"`
+	NsOp              float64 `json:"ns_op"`
+}
+
+// multisnapshotSummary distills the cpu=1 BenchmarkMultisnapshot1024
+// line (unsuffixed: go test only appends -N for GOMAXPROCS > 1).
+func multisnapshotSummary(benches map[string]benchLine) (*multisnapshot, error) {
+	bl, ok := benches["BenchmarkMultisnapshot1024"]
+	if !ok {
+		return nil, fmt.Errorf("no BenchmarkMultisnapshot1024 line (run it with -cpu 1)")
+	}
+	return &multisnapshot{
+		PerChunkWriteRPCs: bl.Metrics["per-chunk-write-RPCs/round"],
+		WriteRPCs:         bl.Metrics["write-RPCs/round"],
+		ReductionX:        bl.Metrics["write-RPC-reduction-x"],
+		NsOp:              bl.Metrics["ns/op"],
+	}, nil
 }
 
 // exportSummary is the headline summary of the differential-sync
@@ -117,7 +134,7 @@ type metaOutage struct {
 
 func main() {
 	in := flag.String("in", "bench.txt", "benchmark output to parse")
-	family := flag.String("family", "flashcrowd", "benchmark family to distill: flashcrowd or multisnapshot")
+	family := flag.String("family", "flashcrowd", "benchmark family to distill: flashcrowd, multisnapshot, metaoutage, export or scale")
 	out := flag.String("out", "", "artifact to write (default BENCH_<family>.json)")
 	flag.Parse()
 	var prefixes, excludes []string
@@ -193,17 +210,11 @@ func main() {
 		}
 		doc.CrossZone = cz
 	}
-	unb, okU := benches["BenchmarkMultisnapshot1024/unbatched"]
-	bat, okB := benches["BenchmarkMultisnapshot1024/batched"]
-	if okU && okB {
-		ms := &multisnapshot{
-			UnbatchedWriteRPCs: unb.Metrics["write-RPCs/round"],
-			BatchedWriteRPCs:   bat.Metrics["write-RPCs/round"],
-			UnbatchedNsOp:      unb.Metrics["ns/op"],
-			BatchedNsOp:        bat.Metrics["ns/op"],
-		}
-		if ms.BatchedWriteRPCs > 0 {
-			ms.ReductionX = ms.UnbatchedWriteRPCs / ms.BatchedWriteRPCs
+	if *family == "multisnapshot" {
+		ms, err := multisnapshotSummary(benches)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *in, err)
+			os.Exit(1)
 		}
 		doc.Multisnapshot = ms
 	}

@@ -15,10 +15,11 @@
 // flash crowd spread over 3 availability zones with flat vs
 // topology-aware policy (docs/topology.md), multisnap the concurrent
 // commit of all instances against a small provider pool with the
-// unbatched vs batched write path (docs/perf.md), metaoutage the flash
-// crowd with replicated metadata (WithMetaReplicas) while -kill
-// metadata providers and one compute rack fail mid-run, against a
-// healthy baseline at the same replication (docs/faults.md), sync the
+// write RPCs batching saves over a per-chunk protocol (docs/perf.md),
+// metaoutage the flash crowd with replicated metadata
+// (WithMetaReplicas) while -kill metadata providers and one compute
+// rack fail mid-run, against a healthy baseline at the same
+// replication (docs/faults.md), sync the
 // disconnected-site workflow: an upstream lineage shipped to a
 // downstream repository on a disjoint provider pool as one full
 // archive plus per-commit deltas (docs/sync.md). -quick runs the
@@ -171,14 +172,8 @@ func main() {
 			experiments.MetaOutage(flashN, 0, false), experiments.MetaOutage(flashN, *kill, true)))}
 	}
 	multisnap := func() []*metrics.Table {
-		var pts []experiments.MultisnapshotPoint
-		for _, batched := range []bool{false, true} {
-			pts = append(pts, experiments.RunMultisnapshot(p, experiments.MultisnapshotConfig{
-				Instances: multiN,
-				Batched:   batched,
-			}))
-		}
-		return []*metrics.Table{experiments.MultisnapshotTable(pts)}
+		pt := experiments.RunMultisnapshot(p, experiments.MultisnapshotConfig{Instances: multiN})
+		return []*metrics.Table{experiments.MultisnapshotTable([]experiments.MultisnapshotPoint{pt})}
 	}
 	syncScenario := func() []*metrics.Table {
 		pt := experiments.RunSync(p, experiments.SyncConfig{})

@@ -282,6 +282,94 @@ func TestVersionTotalOrderUnderConcurrentCommits(t *testing.T) {
 	})
 }
 
+// TestFailedCommitConsumesNoVersion: a commit that fails must not hold
+// a version ticket, or every later commit of the blob would wait
+// forever behind the unpublished gap. Two failures are covered, on a
+// replicated rig with the version manager off the provider nodes: every
+// provider dead (the chunk publish fails with ErrNoReplica) and every
+// metadata replica of the base root dead after the chunks land (the
+// tree build fails). After each revive the next commit publishes
+// exactly latest+1.
+func TestFailedCommitConsumesNoVersion(t *testing.T) {
+	const chunk = 4 << 10
+	fab := cluster.NewSim(cluster.DefaultConfig(5))
+	provs := []cluster.NodeID{0, 1, 2, 3}
+	sys := NewSystem(provs, 4, 2)
+	sys.Meta.SetReplication(2)
+	fab.Run(func(ctx *cluster.Ctx) {
+		c := NewClient(sys)
+		id, err := c.Create(ctx, 4*chunk, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write := func(c *Client, base Version, seed byte) (Version, error) {
+			return c.WriteChunks(ctx, id, base, []ChunkWrite{
+				{Index: 0, Payload: RealPayload(pattern(chunk, seed))},
+				{Index: 2, Payload: RealPayload(pattern(chunk, seed+1))},
+			})
+		}
+		commitNext := func(c *Client, seed byte) {
+			t.Helper()
+			latest, err := sys.VM.Latest(ctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := write(c, latest, seed)
+			if err != nil {
+				t.Fatalf("commit after revive: %v", err)
+			}
+			if v != latest+1 || sys.VM.Published(id) != int(v) {
+				t.Fatalf("commit after revive published %d (%d visible), want %d", v, sys.VM.Published(id), latest+1)
+			}
+		}
+		v1, err := write(c, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Every provider dead: the client's cached tree lets the build
+		// succeed, and the chunk publish fails.
+		for _, n := range provs {
+			sys.Providers.Kill(n)
+			sys.Meta.Kill(n)
+		}
+		if _, err := write(c, v1, 10); !errors.Is(err, ErrNoReplica) {
+			t.Fatalf("commit with every provider dead: %v, want ErrNoReplica", err)
+		}
+		for _, n := range provs {
+			sys.Providers.Revive(n)
+			sys.Meta.Revive(n)
+		}
+		commitNext(c, 20)
+
+		// Every metadata replica of the base root dead, chunk providers
+		// up: the chunks land, then a cold client's tree build fails.
+		latest, err := sys.VM.Latest(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := sys.VM.Root(ctx, id, latest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := sys.Meta.Replicas(root)
+		for _, n := range ring {
+			sys.Meta.Kill(n)
+		}
+		writes0 := sys.Providers.Writes.Load()
+		if _, err := write(NewClient(sys), latest, 30); err == nil {
+			t.Fatal("commit over an unreachable base root succeeded")
+		}
+		if sys.Providers.Writes.Load() == writes0 {
+			t.Fatal("no chunk landed before the metadata failure")
+		}
+		for _, n := range ring {
+			sys.Meta.Revive(n)
+		}
+		commitNext(NewClient(sys), 40)
+	})
+}
+
 func TestReplicationSurvivesProviderFailure(t *testing.T) {
 	fab, sys := liveSystem(4, 2)
 	fab.Run(func(ctx *cluster.Ctx) {

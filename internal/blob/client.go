@@ -58,14 +58,6 @@ type Client struct {
 	sys    *System
 	sharer ChunkSharer // optional p2p chunk source (see sharing.go)
 
-	// writeBatching switches WriteChunks to the batched commit path:
-	// chunk payloads grouped into one provider RPC per provider per
-	// round (ProviderSet.PutBatch), the shadowed tree built with
-	// level-order batched fetches of the old nodes (BuildVersionBatched)
-	// overlapped with the chunk publish. Off by default — the unbatched
-	// path's costs are pinned byte-identically by the figure scenarios.
-	writeBatching bool
-
 	nodeCache [nodeCacheShards]nodeCacheShard
 
 	infoMu sync.RWMutex
@@ -315,10 +307,6 @@ func (c *Client) Retire(ctx *cluster.Ctx, id ID, v Version) error {
 	return c.sys.VM.Retire(ctx, id, v)
 }
 
-// SetWriteBatching toggles the batched commit path (see the
-// writeBatching field). Flip it before issuing writes.
-func (c *Client) SetWriteBatching(on bool) { c.writeBatching = on }
-
 // ChunkWrite names a chunk index and its new payload for WriteChunks.
 type ChunkWrite struct {
 	Index   int64
@@ -326,10 +314,10 @@ type ChunkWrite struct {
 }
 
 // WriteChunks is the COMMIT data path: it stores the given chunk
-// payloads on the providers (bounded-parallel), builds the shadowed
-// segment tree against base, and publishes the result as the blob's
-// next version in total order. base is the version whose unmodified
-// content the snapshot shares; base 0 builds over an empty tree.
+// payloads on the providers, builds the shadowed segment tree against
+// base, and publishes the result as the blob's next version in total
+// order. base is the version whose unmodified content the snapshot
+// shares; base 0 builds over an empty tree.
 func (c *Client) WriteChunks(ctx *cluster.Ctx, id ID, base Version, writes []ChunkWrite) (Version, error) {
 	v, _, err := c.WriteChunksKeyed(ctx, id, base, writes)
 	return v, err
@@ -338,6 +326,13 @@ func (c *Client) WriteChunks(ctx *cluster.Ctx, id ID, base Version, writes []Chu
 // WriteChunksKeyed is WriteChunks, additionally reporting the provider
 // key allocated for each written chunk index. The mirroring module
 // uses the keys to retract-track the chunks it announces at COMMIT.
+//
+// The whole round goes to the providers as one PutBatch (one RPC per
+// distinct provider), running as its own activity so the transfer
+// overlaps the level-order shadowed tree build (BuildVersionBatched).
+// The version ticket is taken only once both have succeeded, right
+// before the metadata publish: a commit that fails earlier consumes no
+// version, so the blob's version sequence never stalls behind it.
 func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes []ChunkWrite) (Version, map[int64]ChunkKey, error) {
 	if len(writes) == 0 {
 		return 0, nil, fmt.Errorf("blob: WriteChunks with no chunks: %w", ErrInvalidWrite)
@@ -367,72 +362,40 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 	// new chunks, and the pending mark is what keeps a concurrent
 	// garbage-collection sweep from reclaiming them in that window.
 	dirty := make([]DirtyLeaf, len(sorted))
+	puts := make([]ChunkPut, len(sorted))
 	keys := make([]ChunkKey, len(sorted))
-	for i := range sorted {
+	keyOf := make(map[int64]ChunkKey, len(sorted))
+	for i, w := range sorted {
 		keys[i] = c.sys.Providers.AllocPendingKey()
-		dirty[i] = DirtyLeaf{Index: sorted[i].Index, Chunk: keys[i]}
+		dirty[i] = DirtyLeaf{Index: w.Index, Chunk: keys[i]}
+		puts[i] = ChunkPut{Key: keys[i], Payload: w.Payload}
+		keyOf[w.Index] = keys[i]
 	}
 	defer c.sys.Providers.ClearPending(keys)
-
-	// On the batched path the whole round goes to the providers as one
-	// PutBatch — one RPC per distinct provider — running as its own
-	// activity so the transfer overlaps the metadata build of phase 2.
-	// The unbatched path pushes every chunk as an individual Put and
-	// completes before any metadata work, as the figure scenarios pin.
-	var pub cluster.Task
 	var pubErr error
+	pub := ctx.Go("put-chunks", ctx.Node(), func(cc *cluster.Ctx) {
+		pubErr = c.sys.Providers.PutBatch(cc, puts)
+	})
 	joined := false
-	if c.writeBatching {
-		puts := make([]ChunkPut, len(sorted))
-		for i := range sorted {
-			puts[i] = ChunkPut{Key: keys[i], Payload: sorted[i].Payload}
+	defer func() {
+		// Error unwinds must not leave the publish activity running
+		// against keys whose pending marks are about to clear.
+		if !joined {
+			ctx.WaitAll([]cluster.Task{pub})
 		}
-		pub = ctx.Go("put-chunks", ctx.Node(), func(cc *cluster.Ctx) {
-			pubErr = c.sys.Providers.PutBatch(cc, puts)
-		})
-		defer func() {
-			// Error unwinds must not leave the publish activity running
-			// against keys whose pending marks are about to clear.
-			if !joined {
-				ctx.WaitAll([]cluster.Task{pub})
-			}
-		}()
-	} else {
-		putErrs := make([]error, len(sorted))
-		c.forEachParallel(ctx, "put-chunk", len(sorted), func(cc *cluster.Ctx, i int) {
-			putErrs[i] = c.sys.Providers.Put(cc, keys[i], sorted[i].Payload)
-		})
-		if err := firstError(putErrs); err != nil {
-			return 0, nil, err
-		}
-		// The writer holds the full content of every chunk it just
-		// pushed, so it can serve siblings as an alternate source from
-		// now on.
-		if c.sharer != nil {
-			c.sharer.Announce(ctx, keys)
-		}
-	}
-	keyOf := make(map[int64]ChunkKey, len(sorted))
-	for i := range sorted {
-		keyOf[sorted[i].Index] = keys[i]
-	}
+	}()
 
-	// Phase 2: ticket, shadowed metadata, publication. The base version
-	// is pinned for the duration of the build so a concurrent retention
-	// sweep cannot retire it (and the garbage collector cannot reclaim
-	// the subtrees the new version is about to share).
+	// Phase 2: shadowed metadata, overlapped with the chunk publish.
+	// The base version is pinned for the duration of the build so a
+	// concurrent retention sweep cannot retire it (and the garbage
+	// collector cannot reclaim the subtrees the new version is about
+	// to share).
 	var oldRoot NodeRef
 	if base > 0 {
 		if err := c.sys.VM.Pin(id, base); err != nil {
 			return 0, nil, err
 		}
 		defer c.sys.VM.Unpin(id, base)
-	}
-	ticket, err := c.sys.VM.Ticket(ctx, id)
-	if err != nil {
-		return 0, nil, err
-	}
-	if base > 0 {
 		oldRoot, err = c.sys.VM.Root(ctx, id, base)
 		if err != nil {
 			return 0, nil, err
@@ -441,31 +404,31 @@ func (c *Client) WriteChunksKeyed(ctx *cluster.Ctx, id ID, base Version, writes 
 	// The new tree nodes are pending for the same reason as the keys.
 	alloc, done := c.pendingAllocator()
 	defer done()
-	var root NodeRef
-	var created []NewNode
-	if c.writeBatching {
-		root, created, err = BuildVersionBatched(boundGetter{c, ctx}, oldRoot, inf.Span, dirty, alloc)
-	} else {
-		root, created, err = BuildVersion(boundGetter{c, ctx}, oldRoot, inf.Span, dirty, alloc)
-	}
+	root, created, err := BuildVersionBatched(boundGetter{c, ctx}, oldRoot, inf.Span, dirty, alloc)
 	if err != nil {
 		return 0, nil, err
 	}
-	if pub != nil {
-		// Join the chunk publish before the version becomes visible: a
-		// published snapshot must never reference in-flight chunks, and
-		// the cohort announcement must wait for the content to exist.
-		ctx.WaitAll([]cluster.Task{pub})
-		joined = true
-		if pubErr != nil {
-			return 0, nil, pubErr
-		}
-		if c.sharer != nil {
-			c.sharer.Announce(ctx, keys)
-		}
+	// Join the chunk publish before the version becomes visible: a
+	// published snapshot must never reference in-flight chunks, and the
+	// cohort announcement must wait for the content to exist.
+	ctx.WaitAll([]cluster.Task{pub})
+	joined = true
+	if pubErr != nil {
+		return 0, nil, pubErr
 	}
+	// The writer holds the full content of every chunk it just pushed,
+	// so it can serve siblings as an alternate source from now on.
+	if c.sharer != nil {
+		c.sharer.Announce(ctx, keys)
+	}
+
+	// Phase 3: ticket and publication, in Clone's order.
 	c.sys.Meta.PutBatch(ctx, created)
 	c.cacheNew(created)
+	ticket, err := c.sys.VM.Ticket(ctx, id)
+	if err != nil {
+		return 0, nil, err
+	}
 	if err := c.sys.VM.Publish(ctx, id, ticket, root); err != nil {
 		return 0, nil, err
 	}

@@ -2,6 +2,7 @@ package blob
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"blobvfs/internal/cluster"
@@ -41,6 +42,51 @@ func TestDedupStoresIdenticalContentOnce(t *testing.T) {
 			}
 			if !bytes.Equal(buf, common) {
 				t.Fatal("aliased chunk read wrong content")
+			}
+		}
+	})
+}
+
+// TestDedupAliasesDuplicatesWithinOneBatch: one commit carrying the
+// same real payload at several indices stores it once — the
+// fingerprints are hashed in parallel before the store lock, then
+// resolved in batch order, so every later occurrence aliases the first
+// — and every alias reads the content back.
+func TestDedupAliasesDuplicatesWithinOneBatch(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	const chunk, n = 4 << 10, 6
+	fab, sys := liveSystem(4, 1)
+	sys.Providers.EnableDedup()
+	fab.Run(func(ctx *cluster.Ctx) {
+		c := NewClient(sys)
+		id, err := c.Create(ctx, n*chunk, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		common := pattern(chunk, 5)
+		writes := make([]ChunkWrite, n)
+		for i := range writes {
+			writes[i] = ChunkWrite{Index: int64(i), Payload: RealPayload(common)}
+		}
+		v, err := c.WriteChunks(ctx, id, 0, writes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.Providers.ChunkCount(); got != 1 {
+			t.Fatalf("stored chunks = %d, want 1", got)
+		}
+		if got := sys.Providers.DedupHits.Load(); got != n-1 {
+			t.Fatalf("dedup hits = %d, want %d", got, n-1)
+		}
+		buf := make([]byte, chunk)
+		for i := 0; i < n; i++ {
+			if err := c.ReadAt(ctx, id, v, buf, int64(i)*chunk); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, common) {
+				t.Fatalf("chunk %d read wrong content through its alias", i)
 			}
 		}
 	})

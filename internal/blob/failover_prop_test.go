@@ -46,14 +46,14 @@ func TestFailoverNoLostChunksProperty(t *testing.T) {
 				keys := make([]ChunkKey, nChunks)
 				for i := range keys {
 					keys[i] = ps.AllocKey()
-					if err := ps.Put(ctx, keys[i], SyntheticPayload(4096, uint64(i+1))); err != nil {
+					if err := ps.PutBatch(ctx, []ChunkPut{{Key: keys[i], Payload: SyntheticPayload(4096, uint64(i+1))}}); err != nil {
 						t.Fatalf("put %d: %v", i, err)
 					}
 				}
 				// Random walk over kill/revive, never below one live
 				// provider. Every step also publishes a fresh chunk —
 				// often while providers are down, exercising the
-				// write-around-failure path of Put.
+				// write-around-failure path of PutBatch.
 				for step := 0; step < 24; step++ {
 					victim := nodes[rng.Intn(nProv)]
 					if lv.Alive(victim) && lv.AliveCount() > 2 {
@@ -62,7 +62,7 @@ func TestFailoverNoLostChunksProperty(t *testing.T) {
 						lv.Revive(ctx, victim)
 					}
 					k := ps.AllocKey()
-					if err := ps.Put(ctx, k, SyntheticPayload(4096, uint64(1000+step))); err != nil {
+					if err := ps.PutBatch(ctx, []ChunkPut{{Key: k, Payload: SyntheticPayload(4096, uint64(1000+step))}}); err != nil {
 						t.Fatalf("step %d: degraded put: %v", step, err)
 					}
 					keys = append(keys, k)
@@ -92,7 +92,7 @@ func TestFailoverCounters(t *testing.T) {
 	ps := NewProviderSet(nodes, 2)
 	fab.Run(func(ctx *cluster.Ctx) {
 		key := ps.AllocKey()
-		if err := ps.Put(ctx, key, SyntheticPayload(1024, 7)); err != nil {
+		if err := ps.PutBatch(ctx, []ChunkPut{{Key: key, Payload: SyntheticPayload(1024, 7)}}); err != nil {
 			t.Fatal(err)
 		}
 		ring := ps.Replicas(key)
@@ -141,7 +141,7 @@ func TestFailoverCounters(t *testing.T) {
 	})
 }
 
-// TestDegradedPutWritesAroundFailure: a Put while a ring replica is
+// TestDegradedPutWritesAroundFailure: a write while a ring replica is
 // down must place the missing copy on a live substitute immediately
 // (not wait for the next liveness transition), and a later revival
 // must not count the skipped replica as a holder — the copy it never
@@ -156,7 +156,7 @@ func TestDegradedPutWritesAroundFailure(t *testing.T) {
 		// Primary down at write time: the writer pushes the second copy
 		// to a substitute outside the ring.
 		ps.Kill(ring[0])
-		if err := ps.Put(ctx, key, SyntheticPayload(2048, 3)); err != nil {
+		if err := ps.PutBatch(ctx, []ChunkPut{{Key: key, Payload: SyntheticPayload(2048, 3)}}); err != nil {
 			t.Fatal(err)
 		}
 		locs := ps.LiveLocations(key)
@@ -191,10 +191,10 @@ func TestDegradedPutWritesAroundFailure(t *testing.T) {
 }
 
 // TestDedupUnderFailure: the dedup bookkeeping must stay consistent
-// across failed and degraded writes — a Put that failed with every
+// across failed and degraded writes — a write that failed with every
 // provider down must not leave its fingerprint behind (a later
 // identical write would alias to a never-stored chunk), and an
-// aliasing Put whose own ring is dead must still succeed via the
+// aliasing write whose own ring is dead must still succeed via the
 // canonical chunk's live holders.
 func TestDedupUnderFailure(t *testing.T) {
 	fab := cluster.NewSim(cluster.DefaultConfig(4))
@@ -209,7 +209,7 @@ func TestDedupUnderFailure(t *testing.T) {
 			ps.Kill(n)
 		}
 		k1 := ps.AllocKey()
-		if err := ps.Put(ctx, k1, payload); !errors.Is(err, ErrNoReplica) {
+		if err := ps.PutBatch(ctx, []ChunkPut{{Key: k1, Payload: payload}}); !errors.Is(err, ErrNoReplica) {
 			t.Fatalf("put with all providers dead = %v, want ErrNoReplica", err)
 		}
 		for _, n := range nodes {
@@ -218,7 +218,7 @@ func TestDedupUnderFailure(t *testing.T) {
 		// The same content stored after the outage must become a real
 		// canonical chunk, not an alias to the failed key.
 		k2 := ps.AllocKey()
-		if err := ps.Put(ctx, k2, payload); err != nil {
+		if err := ps.PutBatch(ctx, []ChunkPut{{Key: k2, Payload: payload}}); err != nil {
 			t.Fatal(err)
 		}
 		if ps.DedupHits.Load() != 0 {
@@ -237,7 +237,7 @@ func TestDedupUnderFailure(t *testing.T) {
 			}
 		}
 		ps.Kill(ps.Replicas(k3)[0])
-		if err := ps.Put(ctx, k3, payload); err != nil {
+		if err := ps.PutBatch(ctx, []ChunkPut{{Key: k3, Payload: payload}}); err != nil {
 			t.Fatalf("aliasing put with its ring dead = %v, want success via canonical holder", err)
 		}
 		if ps.DedupHits.Load() != 1 {

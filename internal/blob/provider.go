@@ -2,6 +2,8 @@ package blob
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,7 +17,7 @@ import (
 //
 // With deduplication enabled (§7 of the paper lists it as future
 // work), payloads carrying a content fingerprint are stored once:
-// a Put whose content is already present stores a reference instead
+// a write whose content is already present stores a reference instead
 // of a second copy, skipping the disk write (the transfer is still
 // paid — the client cannot know the content is duplicate). Real
 // payloads are fingerprinted by hashing; synthetic payloads use their
@@ -35,7 +37,7 @@ type ProviderSet struct {
 	// mu guards the chunk/dedup/refcount maps. It is a RWMutex so the
 	// hot fetch path (Get/Peek: two map lookups) runs under a shared
 	// lock and the 16-way parallel fetchers of every client in a
-	// deployment stop serializing here; writers (Put, Release) take the
+	// deployment stop serializing here; writers (PutBatch, Release) take the
 	// exclusive side. Liveness flags and per-provider read counters are
 	// atomics preallocated per node, off the lock entirely.
 	mu       sync.RWMutex
@@ -44,14 +46,14 @@ type ProviderSet struct {
 	printOf  map[ChunkKey]uint64 // canonical key → its fingerprint
 	refs     map[ChunkKey]int64  // content references: canonical self + aliases
 	aliases  map[ChunkKey]ChunkKey
-	retained map[ChunkKey]bool // keys Put and not yet Released
+	retained map[ChunkKey]bool // keys written and not yet Released
 	pending  map[ChunkKey]bool // keys of in-flight, unpublished commits
 	// repairs holds the substitute replica locations created for a
 	// canonical chunk — by a repair sweep after one of its ring
-	// replicas died, or by a degraded Put that pushed a dead replica's
+	// replicas died, or by a degraded write that pushed a dead replica's
 	// copy to a substitute (repair.go). Reads consult them after the
 	// ring. voids lists ring replicas that never received their copy
-	// (down at Put time): they are not locations until a repair sweep
+	// (down at write time): they are not locations until a repair sweep
 	// backfills them, even after a revival.
 	repairs map[ChunkKey][]cluster.NodeID
 	voids   map[ChunkKey][]cluster.NodeID
@@ -61,15 +63,14 @@ type ProviderSet struct {
 	writesBy map[cluster.NodeID]*atomic.Int64 // write RPCs received, per provider
 
 	// Reads and Writes count chunk-level operations; DedupHits counts
-	// Puts absorbed by an existing identical chunk. Reclaimed and
+	// writes absorbed by an existing identical chunk. Reclaimed and
 	// ReclaimedBytes count chunk payloads physically freed by Release.
 	Reads, Writes, DedupHits  atomic.Int64
 	Reclaimed, ReclaimedBytes atomic.Int64
 	// PutRPCs counts the provider-bound RPCs the write path issued
-	// (after batching): one per replica per chunk through Put, one per
-	// distinct provider per round through PutBatch. Writes/PutRPCs is
-	// therefore the write-side batching factor, the twin of the
-	// metadata service's Gets/NodesServed.
+	// after batching: one per distinct provider per PutBatch round.
+	// Writes/PutRPCs is therefore the write-side batching factor, the
+	// twin of the metadata service's Gets/NodesServed.
 	PutRPCs atomic.Int64
 	// Failovers counts reads a dead primary pushed onto a surviving
 	// replica (or a repair copy); FailedReads counts reads that found
@@ -118,7 +119,7 @@ func NewProviderSet(nodes []cluster.NodeID, replicas int) *ProviderSet {
 	}
 }
 
-// EnableDedup turns on content deduplication for subsequent Puts.
+// EnableDedup turns on content deduplication for subsequent writes.
 func (ps *ProviderSet) EnableDedup() { ps.dedup = true }
 
 // SetTopology makes placement and reads locality-aware (see the topo
@@ -305,124 +306,6 @@ func (ps *ProviderSet) isAlive(node cluster.NodeID) bool {
 	return ok && a.Load()
 }
 
-// Put stores a payload under key on all replicas, charging the chunk
-// transfer to each living replica and an asynchronous local-disk write
-// there (BlobSeer acknowledges once the data is in the provider's
-// write-back buffer; see paper §5.3). A ring replica that is down
-// takes no copy — the writer records it as a void and pushes the
-// missing copy to a live substitute instead (writing around the
-// failure), so the chunk is born at full replication degree whenever
-// enough providers are up. Returns an error if no copy could be
-// placed anywhere. Under deduplication, a payload whose content
-// fingerprint is already stored becomes an alias of the existing
-// chunk: the transfer is still charged (the client pushed the bytes)
-// but the disk write and the second copy are skipped.
-func (ps *ProviderSet) Put(ctx *cluster.Ctx, key ChunkKey, p Payload) error {
-	dup, registered := false, false
-	var canonical ChunkKey
-	var fprint uint64
-	if ps.dedup {
-		if fp, ok := fingerprint(p); ok {
-			ps.mu.Lock()
-			if existing, hit := ps.byPrint[fp]; hit {
-				dup = true
-				canonical = existing
-			} else {
-				ps.byPrint[fp] = key
-				ps.printOf[key] = fp
-				registered, fprint = true, fp
-			}
-			ps.mu.Unlock()
-		}
-	}
-	stored := 0
-	var deadRing []cluster.NodeID
-	ring := ps.Replicas(key)
-	for _, prov := range ring {
-		if !ps.isAlive(prov) {
-			deadRing = append(deadRing, prov)
-			continue
-		}
-		ctx.RPC(prov, int64(p.Size)+32, 16)
-		ps.countPutRPC(prov)
-		if !dup {
-			ctx.DiskWriteAsync(prov, int64(p.Size))
-		}
-		stored++
-	}
-	// Write around dead replicas: push their copies to live providers
-	// outside the ring. For an aliased (dup) payload the content
-	// already lives on its canonical chunk's providers, so the alias
-	// needs no substitutes of its own — but if its entire ring is
-	// dead, the transfer goes to the canonical chunk's first live
-	// holder (the node that detects the duplicate) so the zero-copy
-	// alias still succeeds.
-	var subs []cluster.NodeID
-	if stored == 0 && dup {
-		ps.mu.RLock()
-		canonLocs := ps.locationsLocked(canonical)
-		ps.mu.RUnlock()
-		for _, n := range canonLocs {
-			if ps.isAlive(n) {
-				ctx.RPC(n, int64(p.Size)+32, 16)
-				ps.countPutRPC(n)
-				stored++
-				break
-			}
-		}
-	}
-	if len(deadRing) > 0 && !dup {
-		subs = ps.substitutes(key, ring, len(deadRing))
-		for _, s := range subs {
-			ctx.RPC(s, int64(p.Size)+32, 16)
-			ps.countPutRPC(s)
-			ctx.DiskWriteAsync(s, int64(p.Size))
-			stored++
-		}
-	}
-	if stored == 0 {
-		// Nothing could take a copy (or, for an alias, even record the
-		// reference). Unregister the fingerprint claimed above: a later
-		// identical write must not alias to this never-stored chunk.
-		if registered {
-			ps.mu.Lock()
-			if ps.byPrint[fprint] == key {
-				delete(ps.byPrint, fprint)
-			}
-			delete(ps.printOf, key)
-			ps.mu.Unlock()
-		}
-		return fmt.Errorf("blob: chunk %d: %w", key, ErrNoReplica)
-	}
-	ps.mu.Lock()
-	if dup {
-		ps.aliases[key] = canonical
-		ps.refs[canonical]++
-		ps.DedupHits.Add(1)
-	} else {
-		ps.chunks[key] = p
-		ps.refs[key]++
-		if len(deadRing) > 0 {
-			ps.voids[key] = deadRing
-			if len(subs) > 0 {
-				ps.repairs[key] = subs
-			}
-		}
-	}
-	ps.retained[key] = true
-	ps.mu.Unlock()
-	ps.Writes.Add(1)
-	return nil
-}
-
-// countPutRPC records one provider-bound write RPC.
-func (ps *ProviderSet) countPutRPC(prov cluster.NodeID) {
-	ps.PutRPCs.Add(1)
-	if c, ok := ps.writesBy[prov]; ok {
-		c.Add(1)
-	}
-}
-
 // NodePutRPCs returns a copy of the per-provider write-RPC counters —
 // the distribution the batched commit path flattens to one RPC per
 // provider per round.
@@ -442,19 +325,32 @@ type ChunkPut struct {
 	Payload Payload
 }
 
-// PutBatch stores a whole commit round of chunks with Put's exact
-// per-key semantics — replica placement, write-around of dead ring
-// replicas, deduplication — but charges the network per provider
-// instead of per chunk: every payload bound for one provider travels
-// in a single RPC (the write-side twin of MetaService.PutBatch), and
-// with deduplication enabled the round's fingerprint lookups are
-// decided under one lock acquisition, so an identical payload later in
-// the batch aliases to its first occurrence without a second lookup.
-// All providers receive their share concurrently, so the round's
-// transfer time stays that of the slowest provider, as with the
-// unbatched parallel puts. Keys that could not be placed anywhere
-// fail with ErrNoReplica (first error returned); the rest of the
-// round commits regardless, exactly as independent Puts would.
+// PutBatch stores a whole commit round of chunks. Each key goes to
+// every live replica of its ring, charging the transfer and an
+// asynchronous local-disk write there (BlobSeer acknowledges once the
+// data is in the provider's write-back buffer; see paper §5.3). A ring
+// replica that is down takes no copy: the writer records it as a void
+// and pushes the missing copy to a live substitute instead (writing
+// around the failure), so the chunk is born at full replication degree
+// whenever enough providers are up.
+//
+// Under deduplication, a payload whose content fingerprint is already
+// stored — or appears earlier in the same batch — becomes an alias of
+// the existing chunk: the transfer is still charged (the client pushed
+// the bytes) but the disk write and the second copy are skipped, and an
+// alias needs no substitutes. If an alias's whole ring is dead, its
+// transfer goes to the canonical chunk's first live holder (the node
+// that detects the duplicate) so the zero-copy alias still succeeds.
+// Fingerprints are computed before the store lock is taken; the lookups
+// and registrations then run under one lock acquisition in batch order.
+//
+// The network is charged per provider, not per chunk: every payload
+// bound for one provider travels in a single RPC (the write-side twin
+// of MetaService.PutBatch), and all providers receive their share
+// concurrently, so the round takes as long as its slowest provider. A
+// key that could not be placed anywhere fails with ErrNoReplica (the
+// first such error is returned) and leaves no fingerprint behind; the
+// rest of the round commits regardless.
 func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 	if len(puts) == 0 {
 		return nil
@@ -465,18 +361,18 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 	registered := make([]bool, n)
 	fprints := make([]uint64, n)
 	if ps.dedup {
+		fps, ok := fingerprintBatch(puts)
 		ps.mu.Lock()
 		for i, pt := range puts {
-			fp, ok := fingerprint(pt.Payload)
-			if !ok {
+			if !ok[i] {
 				continue
 			}
-			if existing, hit := ps.byPrint[fp]; hit {
+			if existing, hit := ps.byPrint[fps[i]]; hit {
 				dup[i], canonical[i] = true, existing
 			} else {
-				ps.byPrint[fp] = pt.Key
-				ps.printOf[pt.Key] = fp
-				registered[i], fprints[i] = true, fp
+				ps.byPrint[fps[i]] = pt.Key
+				ps.printOf[pt.Key] = fps[i]
+				registered[i], fprints[i] = true, fps[i]
 			}
 		}
 		ps.mu.Unlock()
@@ -526,8 +422,8 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 	}
 
 	// One RPC per distinct provider carries its whole share, all
-	// providers transferring concurrently (as the unbatched 16-way
-	// parallel puts did), spawned in ring order for determinism.
+	// providers transferring concurrently, spawned in ring order for
+	// determinism.
 	tasks := make([]cluster.Task, 0, len(bytesTo))
 	for _, prov := range ps.nodes {
 		b, ok := bytesTo[prov]
@@ -535,7 +431,8 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 			continue
 		}
 		prov, d := prov, diskTo[prov]
-		ps.countPutRPC(prov)
+		ps.PutRPCs.Add(1)
+		ps.writesBy[prov].Add(1)
 		tasks = append(tasks, ctx.Go("put-batch", ctx.Node(), func(cc *cluster.Ctx) {
 			cc.RPC(prov, b, 16)
 			if d > 0 {
@@ -584,6 +481,37 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 	return firstErr
 }
 
+// fingerprintBatch computes the content fingerprint of every payload
+// of a batch (ok[i] false for a payload with no identity). Hashing real
+// bytes is the costly part of a deduplicated round, so a batch carrying
+// real bytes fans out over GOMAXPROCS goroutines, each hashing one
+// contiguous slice; synthetic payloads fingerprint from their tag and
+// stay serial.
+func fingerprintBatch(puts []ChunkPut) (fps []uint64, ok []bool) {
+	fps, ok = make([]uint64, len(puts)), make([]bool, len(puts))
+	hash := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fps[i], ok[i] = fingerprint(puts[i].Payload)
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(puts))
+	if workers < 2 || !slices.ContainsFunc(puts, func(pt ChunkPut) bool { return pt.Payload.Real() }) {
+		hash(0, len(puts))
+		return fps, ok
+	}
+	var wg sync.WaitGroup
+	per := (len(puts) + workers - 1) / workers
+	for lo := 0; lo < len(puts); lo += per {
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			hash(lo, min(lo+per, len(puts)))
+		}(lo)
+	}
+	wg.Wait()
+	return fps, ok
+}
+
 // substitutes picks n live providers outside key's ring, walking the
 // node list from the key's primary slot (deterministic). Fewer than n
 // may be returned when not enough providers are up.
@@ -600,7 +528,7 @@ func (ps *ProviderSet) substitutes(key ChunkKey, ring []cluster.NodeID, n int) [
 }
 
 // locationsLocked returns the nodes holding key's payload in failover
-// order: ring replicas that actually stored it (a replica down at Put
+// order: ring replicas that actually stored it (a replica down at write
 // time never received its copy — see voids), then the substitute
 // locations degraded writes and repair sweeps created. The caller
 // holds ps.mu (either side); key must be canonical.
@@ -689,18 +617,6 @@ func (ps *ProviderSet) Peek(key ChunkKey) (Payload, bool) {
 	}
 	p, ok := ps.chunks[key]
 	return p, ok
-}
-
-// NodeReads returns a copy of the per-provider chunk-read counters —
-// the distribution whose maximum is the hot-spot a flash crowd builds.
-func (ps *ProviderSet) NodeReads() map[cluster.NodeID]int64 {
-	out := make(map[cluster.NodeID]int64, len(ps.readsBy))
-	for n, r := range ps.readsBy {
-		if v := r.Load(); v > 0 {
-			out[n] = v
-		}
-	}
-	return out
 }
 
 // MaxNodeReads returns the chunk reads served by the busiest provider.

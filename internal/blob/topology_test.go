@@ -116,7 +116,7 @@ func TestGetPrefersNearestReplicaAndCountsTiers(t *testing.T) {
 	ps.SetTopology(topo3z())
 	fab.Run(func(ctx *cluster.Ctx) {
 		key := ps.AllocKey()
-		if err := ps.Put(ctx, key, SyntheticPayload(4096, 1)); err != nil {
+		if err := ps.PutBatch(ctx, []ChunkPut{{Key: key, Payload: SyntheticPayload(4096, 1)}}); err != nil {
 			t.Fatal(err)
 		}
 		locs := ps.Replicas(key)

@@ -105,9 +105,6 @@ func (f *Sim) Net() *flownet.Net { return f.net }
 // Uplink returns node n's NIC uplink.
 func (f *Sim) Uplink(n NodeID) *flownet.Link { return f.up[n] }
 
-// Downlink returns node n's NIC downlink.
-func (f *Sim) Downlink(n NodeID) *flownet.Link { return f.down[n] }
-
 // Disk returns node n's disk pool.
 func (f *Sim) Disk(n NodeID) *sim.PSPool { return f.disks[n] }
 

@@ -42,9 +42,8 @@ func goldenScenarios() map[string]func(Params) []*metrics.Table {
 			return []*metrics.Table{CrossZoneTable(pts)}
 		},
 		"multisnap": func(p Params) []*metrics.Table {
-			off := RunMultisnapshot(p, MultisnapshotConfig{Instances: 64})
-			on := RunMultisnapshot(p, MultisnapshotConfig{Instances: 64, Batched: true})
-			return []*metrics.Table{MultisnapshotTable([]MultisnapshotPoint{off, on})}
+			pt := RunMultisnapshot(p, MultisnapshotConfig{Instances: 64})
+			return []*metrics.Table{MultisnapshotTable([]MultisnapshotPoint{pt})}
 		},
 		"metaoutage": func(p Params) []*metrics.Table {
 			return []*metrics.Table{MetaOutageTable([]CrowdPoint{

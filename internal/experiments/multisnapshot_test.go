@@ -9,18 +9,29 @@ import (
 	"blobvfs/internal/sim"
 )
 
+// herd is one concurrent commit round's outcome: the pool for counter
+// inspection, the provider and metadata counters as they stood after
+// the base upload, and the chunks the instances dirtied (as counted by
+// their mirrors at commit).
+type herd struct {
+	*crowdPool
+	writes0, puts0, metaPuts0 int64
+	dirtied                   int64
+}
+
 // herdCommit provisions n instances over a dedicated provider pool,
 // dirties each with one round of §5.3 writes, and commits them all
-// concurrently (first snapshot, so CLONE+COMMIT). It returns the pool
-// for counter inspection.
-func herdCommit(t *testing.T, p Params, instances, providers int, batched bool) *crowdPool {
+// concurrently (first snapshot, so CLONE+COMMIT).
+func herdCommit(t *testing.T, p Params, instances, providers int) herd {
 	t.Helper()
-	var extra []blobvfs.Option
-	if batched {
-		extra = append(extra, blobvfs.WithBatchedCommit())
+	sp := newPool(p, flatLayout(instances, providers))
+	sp.Orch.Pipeline = true
+	h := herd{
+		crowdPool: sp,
+		writes0:   sp.Sys.Providers.Writes.Load(),
+		puts0:     sp.Sys.Providers.PutRPCs.Load(),
+		metaPuts0: sp.Sys.Meta.Puts.Load(),
 	}
-	sp := newPool(p, flatLayout(instances, providers), extra...)
-	sp.Orch.Pipeline = batched
 	sp.Fab.Run(func(ctx *cluster.Ctx) {
 		insts := make([]*middleware.Instance, instances)
 		errs := make([]error, instances)
@@ -49,47 +60,32 @@ func herdCommit(t *testing.T, p Params, instances, providers int, batched bool) 
 		if _, err := sp.Orch.SnapshotAll(ctx, insts); err != nil {
 			t.Fatal(err)
 		}
+		for _, inst := range insts {
+			h.dirtied += inst.Disk.(*blobvfs.Disk).Stats().CommittedChunks
+		}
 	})
-	return sp
+	return h
 }
 
 // TestHerdCommitPerProviderRPCs pins the write-side RPC accounting of a
-// 64-instance concurrent commit round against a 4-node provider pool.
-// Batched: every instance pays exactly one chunk-put RPC per provider
-// it stores on — with a diff spanning the whole ring, that is one RPC
-// per provider per instance, evenly spread. Unbatched: one RPC per
-// chunk write. Metadata puts are already batched (one per provider per
-// PutBatch) and must be identical in both arms.
+// 64-instance concurrent commit round against a 4-node provider pool:
+// every instance pays exactly one chunk-put RPC per provider it stores
+// on — with a diff spanning the whole ring, that is one RPC per
+// provider per instance, evenly spread — and one metadata-put RPC per
+// provider it places tree nodes on, while the logical chunk writes
+// equal the chunks the instances dirtied.
 func TestHerdCommitPerProviderRPCs(t *testing.T) {
 	p := Quick()
 	const instances, providers = 64, 4
+	h := herdCommit(t, p, instances, providers)
 
-	plain := herdCommit(t, p, instances, providers, false)
-	batched := herdCommit(t, p, instances, providers, true)
-
-	// Unbatched: exactly one provider RPC per logical chunk write.
-	plainWrites := plain.Sys.Providers.Writes.Load()
-	plainPuts := plain.Sys.Providers.PutRPCs.Load()
-	if plainPuts != plainWrites {
-		t.Fatalf("unbatched: %d put RPCs for %d chunk writes, want equal", plainPuts, plainWrites)
-	}
-
-	// Both arms commit the identical content: same chunk writes, same
-	// metadata put RPCs (the metadata path was already batched).
-	if bw := batched.Sys.Providers.Writes.Load(); bw != plainWrites {
-		t.Fatalf("batched committed %d chunk writes, unbatched %d", bw, plainWrites)
-	}
-	if bm, pm := batched.Sys.Meta.Puts.Load(), plain.Sys.Meta.Puts.Load(); bm != pm {
-		t.Fatalf("meta-put RPCs diverged: batched %d, unbatched %d", bm, pm)
-	}
-
-	// Batched: one chunk-put RPC per provider per commit (the base
-	// upload, before any instance, is also one batch → one RPC per
-	// provider). Each instance's diff spans every ring member, so the
-	// per-provider counts are exactly commits+1 each.
-	per := batched.Sys.Providers.NodePutRPCs()
+	// One chunk-put RPC per provider per commit (the base upload,
+	// before any instance, is also one batch → one RPC per provider).
+	// Each instance's diff spans every ring member, so the per-provider
+	// counts are exactly commits+1 each.
+	per := h.Sys.Providers.NodePutRPCs()
 	if len(per) != providers {
-		t.Fatalf("batched puts landed on %d providers, want %d", len(per), providers)
+		t.Fatalf("puts landed on %d providers, want %d", len(per), providers)
 	}
 	var total int64
 	for node, n := range per {
@@ -98,37 +94,41 @@ func TestHerdCommitPerProviderRPCs(t *testing.T) {
 		}
 		total += n
 	}
-	if got := batched.Sys.Providers.PutRPCs.Load(); got != total {
+	if got := h.Sys.Providers.PutRPCs.Load(); got != total {
 		t.Fatalf("PutRPCs total %d != per-provider sum %d", got, total)
 	}
 
-	// The headline: the batched arm's chunk-put RPCs collapse from one
-	// per chunk to one per provider per commit.
-	if batchedPuts := batched.Sys.Providers.PutRPCs.Load(); batchedPuts*2 >= plainPuts {
-		t.Fatalf("batching saved too little: %d vs %d put RPCs", batchedPuts, plainPuts)
+	// Every commit writes exactly the chunks its instance dirtied.
+	if writes := h.Sys.Providers.Writes.Load() - h.writes0; writes != h.dirtied || writes == 0 {
+		t.Fatalf("round published %d chunk writes, instances dirtied %d", writes, h.dirtied)
+	}
+
+	// Metadata puts are batched per provider: each CLONE stores its one
+	// new root on a single provider, and each COMMIT's new subtree
+	// spans every provider, so the round costs providers+1 metadata-put
+	// RPCs per instance.
+	if metaPuts := h.Sys.Meta.Puts.Load() - h.metaPuts0; metaPuts != instances*(providers+1) {
+		t.Fatalf("round issued %d meta-put RPCs, want %d (providers+1 per instance)", metaPuts, instances*(providers+1))
 	}
 }
 
-// TestMultisnapshotBatchedArmsAgree runs the scenario end to end and
-// checks the two arms publish identical logical content (same chunk
-// writes per round) while the batched arm cuts write RPCs.
-func TestMultisnapshotBatchedArmsAgree(t *testing.T) {
+// TestMultisnapshotReduction runs the scenario end to end at the size
+// `vmdeploy -quick multisnap` uses and checks its accounting: write RPCs are the chunk-put plus
+// metadata-put RPCs, chunk-put RPCs stay at one per provider per commit,
+// and batching cuts the per-chunk protocol's write RPCs at least 2×.
+func TestMultisnapshotReduction(t *testing.T) {
 	p := Quick()
-	cfg := MultisnapshotConfig{Instances: 16, Providers: 4, Rounds: 2}
-	plain := RunMultisnapshot(p, cfg)
-	cfg.Batched = true
-	batched := RunMultisnapshot(p, cfg)
-
-	if plain.ChunkWrites != batched.ChunkWrites {
-		t.Fatalf("chunk writes diverged: unbatched %.0f, batched %.0f", plain.ChunkWrites, batched.ChunkWrites)
+	pt := RunMultisnapshot(p, MultisnapshotConfig{Instances: 64})
+	if pt.WriteRPCs != pt.ChunkPutRPCs+pt.MetaPutRPCs {
+		t.Fatalf("write RPCs %.0f != chunk-put %.0f + meta-put %.0f", pt.WriteRPCs, pt.ChunkPutRPCs, pt.MetaPutRPCs)
 	}
-	if plain.MetaPutRPCs != batched.MetaPutRPCs {
-		t.Fatalf("meta-put RPCs diverged: unbatched %.0f, batched %.0f", plain.MetaPutRPCs, batched.MetaPutRPCs)
+	if want := float64(pt.Instances * pt.Providers); pt.ChunkPutRPCs != want {
+		t.Fatalf("chunk-put RPCs per round %.0f, want %.0f (one per provider per commit)", pt.ChunkPutRPCs, want)
 	}
-	if plain.ChunkPutRPCs != plain.ChunkWrites {
-		t.Fatalf("unbatched chunk-put RPCs %.0f != chunk writes %.0f", plain.ChunkPutRPCs, plain.ChunkWrites)
+	if pt.ChunkWrites <= pt.ChunkPutRPCs {
+		t.Fatalf("chunk writes %.0f not above chunk-put RPCs %.0f: nothing batched", pt.ChunkWrites, pt.ChunkPutRPCs)
 	}
-	if batched.WriteRPCs >= plain.WriteRPCs {
-		t.Fatalf("batched write RPCs %.0f not below unbatched %.0f", batched.WriteRPCs, plain.WriteRPCs)
+	if r := pt.Reduction(); r < 2 {
+		t.Fatalf("write-RPC reduction %.2fx, want >= 2x", r)
 	}
 }

@@ -23,12 +23,6 @@ type Config struct {
 	FetchRetries int
 	// RetryDelay is the backoff between fetch retries in seconds.
 	RetryDelay float64
-	// BatchedCommit overlaps the CLONE of a forking Snapshot with the
-	// commit's local prepare phase (gap fill and payload capture). It
-	// is set together with the client's write batching (one provider
-	// RPC per provider per commit round); both default off — the
-	// unbatched commit costs are pinned by the figure scenarios.
-	BatchedCommit bool
 }
 
 // DefaultConfig returns the calibrated FUSE crossing cost and two fetch
@@ -877,44 +871,38 @@ func (im *Image) pinVersion(id blob.ID, v blob.Version) error {
 }
 
 // Snapshot is the CLONE+COMMIT sequence as one primitive: with fork the
-// image first redirects to a fresh clone of the mirrored snapshot, then
-// commits its local modifications; without fork it is Commit. It
-// returns the blob and version now mirrored. When the module runs with
-// Config.BatchedCommit, the forking form pipelines the two phases: the
-// clone's metadata round trips overlap the commit's local prepare
-// phase (gap fill and payload capture), and the publish then lands on
-// the clone — the paper's multisnapshot pattern with the serial
-// per-instance latency folded away.
+// image redirects to a fresh clone of the mirrored snapshot and commits
+// its local modifications there; without fork it is Commit. It returns
+// the blob and version now mirrored. The forking form pipelines the two
+// phases: the clone's metadata round trips overlap the commit's local
+// prepare phase (gap fill and payload capture), and the publish then
+// lands on the clone — the paper's multisnapshot pattern with the
+// serial per-instance latency folded away.
 func (im *Image) Snapshot(ctx *cluster.Ctx, fork bool) (blob.ID, blob.Version, error) {
-	if fork && im.mod.cfg.BatchedCommit {
-		var cloneErr error
-		ct := ctx.Go("clone", ctx.Node(), func(cc *cluster.Ctx) { cloneErr = im.Clone(cc) })
-		plan, prepErr := im.prepareCommit(ctx)
-		ctx.WaitAll([]cluster.Task{ct})
-		if cloneErr != nil {
-			if plan != nil {
-				im.closeWindow(plan.dirtyIdx)
-			}
-			return 0, 0, cloneErr
-		}
-		if prepErr != nil {
-			return 0, 0, prepErr
-		}
-		if plan == nil {
-			return im.BlobID(), im.Version(), nil
-		}
-		v, err := im.publishCommit(ctx, plan)
+	if !fork {
+		v, err := im.Commit(ctx)
 		if err != nil {
 			return 0, 0, err
 		}
 		return im.BlobID(), v, nil
 	}
-	if fork {
-		if err := im.Clone(ctx); err != nil {
-			return 0, 0, err
+	var cloneErr error
+	ct := ctx.Go("clone", ctx.Node(), func(cc *cluster.Ctx) { cloneErr = im.Clone(cc) })
+	plan, prepErr := im.prepareCommit(ctx)
+	ctx.WaitAll([]cluster.Task{ct})
+	if cloneErr != nil {
+		if plan != nil {
+			im.closeWindow(plan.dirtyIdx)
 		}
+		return 0, 0, cloneErr
 	}
-	v, err := im.Commit(ctx)
+	if prepErr != nil {
+		return 0, 0, prepErr
+	}
+	if plan == nil {
+		return im.BlobID(), im.Version(), nil
+	}
+	v, err := im.publishCommit(ctx, plan)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -176,11 +176,7 @@ func (r *Repo) checkOpen() error {
 // and under-charge the modeled RPCs. Caching is per node, and lives in
 // the per-node modules (see module).
 func (r *Repo) client() *blob.Client {
-	c := blob.NewClient(r.sys)
-	if r.cfg.batched {
-		c.SetWriteBatching(true)
-	}
-	return c
+	return blob.NewClient(r.sys)
 }
 
 // module returns (creating on first use) the mirroring module of a
@@ -192,11 +188,7 @@ func (r *Repo) module(node NodeID) *mirror.Module {
 	defer r.mu.Unlock()
 	m, ok := r.modules[node]
 	if !ok {
-		c := blob.NewClient(r.sys)
-		if r.cfg.batched {
-			c.SetWriteBatching(true)
-		}
-		m = mirror.NewModule(node, c, r.cfg.mirror)
+		m = mirror.NewModule(node, blob.NewClient(r.sys), r.cfg.mirror)
 		if r.cohort != nil {
 			m.SetSharer(r.cohort)
 		}
