@@ -79,12 +79,15 @@ func multisnapshotSummary(benches map[string]benchLine) (*multisnapshot, error) 
 	if !ok {
 		return nil, fmt.Errorf("no BenchmarkMultisnapshot1024 line (run it with -cpu 1)")
 	}
-	return &multisnapshot{
+	ms := &multisnapshot{
 		PerChunkWriteRPCs: bl.Metrics["per-chunk-write-RPCs/round"],
 		WriteRPCs:         bl.Metrics["write-RPCs/round"],
-		ReductionX:        bl.Metrics["write-RPC-reduction-x"],
 		NsOp:              bl.Metrics["ns/op"],
-	}, nil
+	}
+	if ms.WriteRPCs > 0 {
+		ms.ReductionX = ms.PerChunkWriteRPCs / ms.WriteRPCs
+	}
+	return ms, nil
 }
 
 // exportSummary is the headline summary of the differential-sync

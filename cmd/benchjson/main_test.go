@@ -61,7 +61,7 @@ func TestMultisnapshotSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := multisnapshot{PerChunkWriteRPCs: 68194, WriteRPCs: 8704, ReductionX: 7.835, NsOp: 6134745434}
+	want := multisnapshot{PerChunkWriteRPCs: 68194, WriteRPCs: 8704, ReductionX: 68194.0 / 8704, NsOp: 6134745434}
 	if *ms != want {
 		t.Fatalf("summary %+v, want %+v (the cpu=1 row)", *ms, want)
 	}
