@@ -37,9 +37,9 @@ type ProviderSet struct {
 	// mu guards the chunk/dedup/refcount maps. It is a RWMutex so the
 	// hot fetch path (Get/Peek: two map lookups) runs under a shared
 	// lock and the 16-way parallel fetchers of every client in a
-	// deployment stop serializing here; writers (PutBatch, Release) take the
-	// exclusive side. Liveness flags and per-provider read counters are
-	// atomics preallocated per node, off the lock entirely.
+	// deployment stop serializing here; writers (PutBatch, Release)
+	// take the exclusive side. Liveness flags and per-provider read
+	// counters are atomics preallocated per node, off the lock entirely.
 	mu       sync.RWMutex
 	chunks   map[ChunkKey]Payload
 	byPrint  map[uint64]ChunkKey // content fingerprint → canonical key
@@ -359,20 +359,21 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 	dup := make([]bool, n)
 	canonical := make([]ChunkKey, n)
 	registered := make([]bool, n)
-	fprints := make([]uint64, n)
+	var fprints []uint64
 	if ps.dedup {
-		fps, ok := fingerprintBatch(puts)
+		var ok []bool
+		fprints, ok = fingerprintBatch(puts)
 		ps.mu.Lock()
 		for i, pt := range puts {
 			if !ok[i] {
 				continue
 			}
-			if existing, hit := ps.byPrint[fps[i]]; hit {
+			if existing, hit := ps.byPrint[fprints[i]]; hit {
 				dup[i], canonical[i] = true, existing
 			} else {
-				ps.byPrint[fps[i]] = pt.Key
-				ps.printOf[pt.Key] = fps[i]
-				registered[i], fprints[i] = true, fps[i]
+				ps.byPrint[fprints[i]] = pt.Key
+				ps.printOf[pt.Key] = fprints[i]
+				registered[i] = true
 			}
 		}
 		ps.mu.Unlock()
