@@ -27,7 +27,8 @@ import (
 
 // defaultExtentVersions bounds how many (blob, version) extent maps a
 // client keeps. A mirroring module reads from a handful of snapshots
-// at a time, so the default is generous; SetExtentCacheCap tunes it.
+// at a time, so the bound is generous. It is fixed for every client;
+// in-package tests shrink it with extentCache.setCap.
 const defaultExtentVersions = 128
 
 type extentKey struct {
@@ -240,11 +241,4 @@ func (c *Client) ExtentStats() ExtentCacheStats {
 		Misses:   c.extents.misses.Load(),
 		Versions: n,
 	}
-}
-
-// SetExtentCacheCap bounds the extent cache to n (blob, version)
-// entries, evicting least-recently-used entries beyond it. n < 1
-// disables extent caching. The default is defaultExtentVersions.
-func (c *Client) SetExtentCacheCap(n int) {
-	c.extents.setCap(n)
 }

@@ -3,6 +3,7 @@ package blob
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"blobvfs/internal/cluster"
@@ -163,13 +164,13 @@ func TestDegradedPutWritesAroundFailure(t *testing.T) {
 		if len(locs) != 2 {
 			t.Fatalf("degraded put placed %d live copies (%v), want 2", len(locs), locs)
 		}
-		if containsProvider(locs, ring[0]) {
+		if slices.Contains(locs, ring[0]) {
 			t.Fatalf("dead primary %d listed as a holder right after the put", ring[0])
 		}
 		// Reviving the primary must not resurrect the copy it never
 		// received: it stays a void until a repair sweep backfills it.
 		ps.Revive(ring[0])
-		if locs := ps.LiveLocations(key); containsProvider(locs, ring[0]) {
+		if locs := ps.LiveLocations(key); slices.Contains(locs, ring[0]) {
 			t.Fatalf("revived primary %d counted as holder without a backfill (locs %v)", ring[0], locs)
 		}
 		// Even with both other holders down, the read must fail over to
@@ -183,7 +184,7 @@ func TestDegradedPutWritesAroundFailure(t *testing.T) {
 		if created := ps.ReReplicate(ctx); created == 0 {
 			t.Fatal("sweep created no copies with a void ring member available")
 		}
-		if locs := ps.LiveLocations(key); !containsProvider(locs, ring[0]) {
+		if locs := ps.LiveLocations(key); !slices.Contains(locs, ring[0]) {
 			t.Fatalf("void primary not backfilled by the sweep (locs %v)", locs)
 		}
 		ps.Revive(ring[1])

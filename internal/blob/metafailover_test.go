@@ -135,11 +135,11 @@ func TestMetaReplicaFailover(t *testing.T) {
 		}
 
 		var served int64
-		for _, n := range m.TierGets() {
+		for _, n := range m.TierReads() {
 			served += n
 		}
 		if served != 3 {
-			t.Fatalf("TierGets sums to %d, want the 3 served gets", served)
+			t.Fatalf("TierReads sums to %d, want the 3 served gets", served)
 		}
 	})
 }
@@ -268,7 +268,7 @@ func TestMetaGetBatchIntoMissingCount(t *testing.T) {
 		}
 	}
 
-	t.Run("legacy", func(t *testing.T) {
+	t.Run("degree1", func(t *testing.T) {
 		fab.Run(func(ctx *cluster.Ctx) {
 			check(t, NewMetaService(nodes), ctx)
 		})
@@ -356,4 +356,111 @@ func TestVersionManagerJournalFailover(t *testing.T) {
 			t.Fatalf("Root of the version published during the outage: (%v, %v)", root, err)
 		}
 	})
+}
+
+// TestMetaDegree1HonoursKill: the metadata tier runs one placement
+// path at every degree, so a single-copy ref whose home provider is
+// down is unreadable — Get and GetBatchInto fail it with ErrNoReplica
+// and count a failed get — and readable again once the home revives.
+func TestMetaDegree1HonoursKill(t *testing.T) {
+	fab := cluster.NewSim(cluster.DefaultConfig(5))
+	m := NewMetaService([]cluster.NodeID{1, 2, 3, 4})
+
+	fab.Run(func(ctx *cluster.Ctx) {
+		const ref = NodeRef(5)
+		m.PutBatch(ctx, []NewNode{{Ref: ref, Node: TreeNode{Lo: 5, Hi: 6, Chunk: 55}}})
+		home := metaTestRing(t, m, ref)[0]
+
+		m.Kill(home)
+		if _, err := m.Get(ctx, ref); !errors.Is(err, ErrNoReplica) {
+			t.Fatalf("get with the home down: %v, want ErrNoReplica", err)
+		}
+		if fg := m.FailedGets.Load(); fg != 1 {
+			t.Fatalf("FailedGets = %d after one failed get, want 1", fg)
+		}
+		var missing *MissingNodesError
+		if err := m.GetBatchInto(ctx, []NodeRef{ref}, make([]TreeNode, 1)); !errors.As(err, &missing) || missing.Missing != 1 {
+			t.Fatalf("batched get with the home down: %v, want 1 missing", err)
+		}
+		if fg := m.FailedGets.Load(); fg != 2 {
+			t.Fatalf("FailedGets = %d after two failed gets, want 2", fg)
+		}
+
+		m.Revive(home)
+		if n, err := m.Get(ctx, ref); err != nil || n.Chunk != 55 {
+			t.Fatalf("get after revive: (%+v, %v)", n, err)
+		}
+	})
+}
+
+// TestMetaSweepChargesEveryLiveHolder: a garbage-collection sweep sends
+// its delete RPC to every live provider holding a swept ref — each ring
+// member that stored its copy plus the substitutes of a degraded put —
+// and to no dead one, the home included.
+func TestMetaSweepChargesEveryLiveHolder(t *testing.T) {
+	fab := cluster.NewSim(cluster.DefaultConfig(5))
+	m := NewMetaService([]cluster.NodeID{1, 2, 3, 4})
+	m.SetReplication(2)
+	const del = 16 + 16 // one holder's delete RPC for one ref: request + response
+
+	fab.Run(func(ctx *cluster.Ctx) {
+		sweep := func(ref NodeRef) int64 {
+			t.Helper()
+			before := fab.NetTraffic()
+			if n := m.Sweep(ctx, ref, nil, nil); n != 1 {
+				t.Fatalf("sweep up to ref %d freed %d nodes, want 1", ref, n)
+			}
+			return fab.NetTraffic() - before
+		}
+		put := func(ref NodeRef) {
+			m.PutBatch(ctx, []NewNode{{Ref: ref, Node: TreeNode{Lo: int64(ref), Hi: int64(ref) + 1}}})
+		}
+
+		put(1)
+		if got := sweep(1); got != 2*del {
+			t.Fatalf("healthy sweep moved %d bytes, want %d (both ring members)", got, 2*del)
+		}
+
+		put(2)
+		home := metaTestRing(t, m, 2)[0]
+		m.Kill(home)
+		if got := sweep(2); got != del {
+			t.Fatalf("sweep with the home down moved %d bytes, want %d (the surviving member only)", got, del)
+		}
+
+		// Ref 6 shares ref 2's dead home: its put writes around it onto
+		// a substitute, which holds a copy the sweep must delete too.
+		if metaTestRing(t, m, 6)[0] != home {
+			t.Fatal("ref 6 does not share ref 2's home")
+		}
+		put(6)
+		if got := sweep(6); got != 2*del {
+			t.Fatalf("sweep of a degraded put moved %d bytes, want %d (live member + substitute)", got, 2*del)
+		}
+		if f := m.Freed.Load(); f != 3 {
+			t.Fatalf("Freed = %d, want 3", f)
+		}
+	})
+}
+
+// TestMetaPickAllocs pins the metadata read primitive — locate a ref's
+// copies and pick the serving one — at zero allocations: the ring is
+// walked into a stack buffer, so batched descents allocate nothing per
+// ref, at degree 1 and replicated alike.
+func TestMetaPickAllocs(t *testing.T) {
+	for _, degree := range []int{1, 2} {
+		m := NewMetaService([]cluster.NodeID{1, 2, 3, 4})
+		m.SetReplication(degree)
+		allocs := testing.AllocsPerRun(100, func() {
+			m.repMu.RLock()
+			slot, _ := m.pickLocked(0, 7)
+			m.repMu.RUnlock()
+			if slot < 0 {
+				t.Fatal("pick found no live copy on a healthy ring")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("degree %d: locate+pick allocated %.1f objects per ref, want 0", degree, allocs)
+		}
+	}
 }

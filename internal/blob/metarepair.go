@@ -1,80 +1,41 @@
 package blob
 
 import (
-	"sort"
+	"slices"
 
 	"blobvfs/internal/cluster"
 )
 
 // This file is the metadata tier's half of the failure-resilience
-// subsystem — the twin of repair.go for segment-tree nodes. The
-// MetaService subscribes to the cluster liveness registry; every
-// transition flips the provider's flag and, at replication degree > 1,
-// triggers a deterministic re-replication sweep that restores each
-// stored ref to full degree (sorted refs, one puller activity per
-// destination provider), so no tree node is lost while at least one
-// copy lives. At degree 1 the sweep is skipped entirely: the legacy
-// layout keeps its fault-free assumption and its byte-identical costs.
-
-// Kill marks a metadata provider as failed: it stops serving gets and
-// accepting puts (replicated mode; at degree 1 liveness is ignored).
-func (m *MetaService) Kill(node cluster.NodeID) {
-	if a, ok := m.alive[node]; ok {
-		a.Store(false)
-	}
-}
-
-// Revive brings a failed metadata provider back (it serves its old
-// tree nodes again; copies missed while down stay voids until a
-// repair sweep backfills them).
-func (m *MetaService) Revive(node cluster.NodeID) {
-	if a, ok := m.alive[node]; ok {
-		a.Store(true)
-	}
-}
-
-func (m *MetaService) isAlive(node cluster.NodeID) bool {
-	a, ok := m.alive[node]
-	return ok && a.Load()
-}
+// subsystem — the twin of repair.go for segment-tree nodes, over the
+// same placement policy (placement.go). A MetaService subscribed to
+// the cluster liveness registry flips the provider's flag on every
+// transition and runs a deterministic re-replication sweep that
+// restores each stored ref to full degree (sorted refs, one puller
+// activity per destination provider), so no tree node is lost while at
+// least one copy lives. The path is the same at every degree;
+// blobvfs.Open subscribes the tier only when its degree is above 1,
+// which is what keeps the default control plane fault-free.
 
 // NodeChanged is the cluster.Liveness listener: it records the
-// transition and, in replicated mode, runs a re-replication sweep —
-// after kills to restore the degree from the survivors, and after
-// revives to use the returning provider as a fresh substitute target.
-// Transitions for nodes outside the metadata provider set are ignored.
+// transition and runs a re-replication sweep — after kills to restore
+// the degree from the survivors, and after revives to use the
+// returning provider as a fresh substitute target. Transitions for
+// nodes outside the metadata provider set are ignored.
 func (m *MetaService) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
-	if _, ok := m.alive[node]; !ok {
-		return
+	if m.setAlive(node, alive) {
+		m.ReReplicate(ctx)
 	}
-	if alive {
-		m.Revive(node)
-	} else {
-		m.Kill(node)
-	}
-	if m.replicas == 1 {
-		return
-	}
-	m.ReReplicate(ctx)
-}
-
-// metaRepairJob is one tree-node copy a sweep pushes to a destination.
-type metaRepairJob struct {
-	ref NodeRef
-	src cluster.NodeID
 }
 
 // ReReplicate scans every stored ref and restores its replication
-// degree where copies were lost: walking the refs in sorted order, a
-// ref with at least one live copy but fewer than the configured
-// degree gains copies on live providers walking the ring from its
-// primary slot — void ring members are backfilled first (they stop
-// being voids), then substitutes outside the ring are appended — each
-// copy pulled from the ref's first live location. Registration is one
-// critical section; the transfers then run as one puller activity per
+// degree where copies were lost (see placement.planRepairLocked),
+// walking the refs in sorted order. Registration is one critical
+// section; the transfers then run as one puller activity per
 // destination provider, in provider-list order, so the sweep is
-// deterministic. Returns how many copies it created (also added to
-// Rereplicated).
+// deterministic. Tree nodes live in provider memory, so each copy is
+// one small RPC from the source (no disk legs, unlike chunk repair).
+// Returns how many copies it created (also added to Rereplicated).
 func (m *MetaService) ReReplicate(ctx *cluster.Ctx) int {
 	refs := make([]NodeRef, 0, m.NodeCount())
 	for i := range m.shards {
@@ -85,70 +46,13 @@ func (m *MetaService) ReReplicate(ctx *cluster.Ctx) int {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-
-	perDst := make(map[cluster.NodeID][]metaRepairJob)
-	created := 0
+	slices.Sort(refs)
 	m.repMu.Lock()
-	for _, ref := range refs {
-		ring := m.Replicas(ref)
-		locs := m.locationsLocked(ref)
-		live := locs[:0:0]
-		for _, l := range locs {
-			if m.isAlive(l) {
-				live = append(live, l)
-			}
-		}
-		if len(live) == 0 || len(live) >= m.replicas {
-			continue
-		}
-		src := live[0]
-		n := len(m.providers)
-		first := m.primarySlot(ref)
-		for i := 0; i < n && len(live) < m.replicas; i++ {
-			cand := m.providers[(first+i)%n]
-			if !m.isAlive(cand) || containsProvider(locs, cand) {
-				continue
-			}
-			if containsProvider(ring, cand) {
-				// A void ring member coming back into service: the
-				// new copy makes it a real ring location again.
-				m.voids[ref] = removeProvider(m.voids[ref], cand)
-				if len(m.voids[ref]) == 0 {
-					delete(m.voids, ref)
-				}
-			} else {
-				m.repairs[ref] = append(m.repairs[ref], cand)
-			}
-			locs = append(locs, cand)
-			live = append(live, cand)
-			perDst[cand] = append(perDst[cand], metaRepairJob{ref: ref, src: src})
-			created++
-		}
-	}
+	jobs := m.planRepairLocked(refs)
 	m.repMu.Unlock()
-	if created == 0 {
-		return 0
-	}
-	m.Rereplicated.Add(int64(created))
-
-	// Charge the copies: tree nodes live in provider memory, so each
-	// pull is one small RPC from the source (no disk legs, unlike
-	// chunk repair).
-	var tasks []cluster.Task
-	for _, dst := range m.providers {
-		jobs := perDst[dst]
-		if len(jobs) == 0 {
-			continue
-		}
-		tasks = append(tasks, ctx.Go("meta-rereplicate", dst, func(cc *cluster.Ctx) {
-			for _, j := range jobs {
-				cc.RPC(j.src, 16, treeNodeWire)
-			}
-		}))
-	}
-	ctx.WaitAll(tasks)
-	return created
+	return m.rereplicate(ctx, "meta-rereplicate", jobs, func(cc *cluster.Ctx, j repairJob[NodeRef]) {
+		cc.RPC(j.src, 16, treeNodeWire)
+	})
 }
 
 // LiveLocations returns the live providers currently holding a copy of
@@ -160,13 +64,6 @@ func (m *MetaService) LiveLocations(ref NodeRef) []cluster.NodeID {
 		return nil
 	}
 	m.repMu.RLock()
-	locs := m.locationsLocked(ref)
-	m.repMu.RUnlock()
-	out := locs[:0:0]
-	for _, l := range locs {
-		if m.isAlive(l) {
-			out = append(out, l)
-		}
-	}
-	return out
+	defer m.repMu.RUnlock()
+	return m.liveLocationsLocked(ref)
 }

@@ -23,23 +23,20 @@ import (
 // payloads are fingerprinted by hashing; synthetic payloads use their
 // Tag as the fingerprint.
 type ProviderSet struct {
-	nodes    []cluster.NodeID
-	replicas int
-	dedup    bool
-	// topo, when enabled, makes placement and reads locality-aware:
-	// Replicas spreads a chunk's copies across failure domains (zones
-	// first, then racks), and Get probes the reader's nearest live
-	// copy first. The zero topology keeps the flat ring behavior
-	// byte-identical to a set without the topology machinery.
-	topo    cluster.Topology
+	// placement owns the ring walk, liveness flags, degraded-placement
+	// bookkeeping (voids and repairs, guarded by mu), the failover pick
+	// and the repair planner, shared with the metadata tier.
+	placement[ChunkKey]
+	dedup   bool
 	nextKey atomic.Uint64
 
-	// mu guards the chunk/dedup/refcount maps. It is a RWMutex so the
-	// hot fetch path (Get/Peek: two map lookups) runs under a shared
-	// lock and the 16-way parallel fetchers of every client in a
-	// deployment stop serializing here; writers (PutBatch, Release)
-	// take the exclusive side. Liveness flags and per-provider read
-	// counters are atomics preallocated per node, off the lock entirely.
+	// mu guards the chunk/dedup/refcount maps and the placement's
+	// voids and repairs. It is a RWMutex so the hot fetch path
+	// (Get/Peek: a few map lookups) runs under a shared lock and the
+	// 16-way parallel fetchers of every client in a deployment stop
+	// serializing here; writers (PutBatch, Release, ReReplicate) take
+	// the exclusive side. Liveness flags and per-provider counters are
+	// atomics preallocated per node, off the lock entirely.
 	mu       sync.RWMutex
 	chunks   map[ChunkKey]Payload
 	byPrint  map[uint64]ChunkKey // content fingerprint → canonical key
@@ -48,19 +45,9 @@ type ProviderSet struct {
 	aliases  map[ChunkKey]ChunkKey
 	retained map[ChunkKey]bool // keys written and not yet Released
 	pending  map[ChunkKey]bool // keys of in-flight, unpublished commits
-	// repairs holds the substitute replica locations created for a
-	// canonical chunk — by a repair sweep after one of its ring
-	// replicas died, or by a degraded write that pushed a dead replica's
-	// copy to a substitute (repair.go). Reads consult them after the
-	// ring. voids lists ring replicas that never received their copy
-	// (down at write time): they are not locations until a repair sweep
-	// backfills them, even after a revival.
-	repairs map[ChunkKey][]cluster.NodeID
-	voids   map[ChunkKey][]cluster.NodeID
 
-	alive    map[cluster.NodeID]*atomic.Bool  // provider liveness flags
-	readsBy  map[cluster.NodeID]*atomic.Int64 // chunk reads served, per provider
-	writesBy map[cluster.NodeID]*atomic.Int64 // write RPCs received, per provider
+	readsBy  []atomic.Int64 // chunk reads served, by provider slot
+	writesBy []atomic.Int64 // write RPCs received, by provider slot
 
 	// Reads and Writes count chunk-level operations; DedupHits counts
 	// writes absorbed by an existing identical chunk. Reclaimed and
@@ -72,38 +59,18 @@ type ProviderSet struct {
 	// Writes/PutRPCs is therefore the write-side batching factor, the
 	// twin of the metadata service's Gets/NodesServed.
 	PutRPCs atomic.Int64
-	// Failovers counts reads a dead primary pushed onto a surviving
-	// replica (or a repair copy); FailedReads counts reads that found
-	// no live copy at all (ErrNoReplica); Rereplicated counts chunk
-	// copies re-created on substitute providers after a node death.
-	Failovers, FailedReads, Rereplicated atomic.Int64
-	// tierReads counts chunk reads by the locality tier between the
-	// reader and the provider that served it (everything lands in
-	// TierRack on a flat topology, TierLocal when reader == provider).
-	tierReads [cluster.NumTiers]atomic.Int64
+	// FailedReads counts reads that found no live copy at all
+	// (ErrNoReplica). The embedded placement counts Failovers (reads a
+	// dead primary pushed onto a surviving replica or a repair copy)
+	// and Rereplicated (chunk copies re-created on substitute
+	// providers after a node death).
+	FailedReads atomic.Int64
 }
 
 // NewProviderSet creates a chunk store over the given nodes with the
 // given replication degree (≥1).
 func NewProviderSet(nodes []cluster.NodeID, replicas int) *ProviderSet {
-	if len(nodes) == 0 {
-		panic("blob: provider set needs at least one node")
-	}
-	if replicas < 1 || replicas > len(nodes) {
-		panic(fmt.Sprintf("blob: replication degree %d invalid for %d providers", replicas, len(nodes)))
-	}
-	alive := make(map[cluster.NodeID]*atomic.Bool, len(nodes))
-	readsBy := make(map[cluster.NodeID]*atomic.Int64, len(nodes))
-	writesBy := make(map[cluster.NodeID]*atomic.Int64, len(nodes))
-	for _, n := range nodes {
-		alive[n] = &atomic.Bool{}
-		alive[n].Store(true)
-		readsBy[n] = &atomic.Int64{}
-		writesBy[n] = &atomic.Int64{}
-	}
-	return &ProviderSet{
-		nodes:    nodes,
-		replicas: replicas,
+	ps := &ProviderSet{
 		chunks:   make(map[ChunkKey]Payload),
 		byPrint:  make(map[uint64]ChunkKey),
 		printOf:  make(map[ChunkKey]uint64),
@@ -111,33 +78,15 @@ func NewProviderSet(nodes []cluster.NodeID, replicas int) *ProviderSet {
 		aliases:  make(map[ChunkKey]ChunkKey),
 		retained: make(map[ChunkKey]bool),
 		pending:  make(map[ChunkKey]bool),
-		repairs:  make(map[ChunkKey][]cluster.NodeID),
-		voids:    make(map[ChunkKey][]cluster.NodeID),
-		alive:    alive,
-		readsBy:  readsBy,
-		writesBy: writesBy,
+		readsBy:  make([]atomic.Int64, len(nodes)),
+		writesBy: make([]atomic.Int64, len(nodes)),
 	}
+	ps.init(nodes, replicas)
+	return ps
 }
 
 // EnableDedup turns on content deduplication for subsequent writes.
 func (ps *ProviderSet) EnableDedup() { ps.dedup = true }
-
-// SetTopology makes placement and reads locality-aware (see the topo
-// field). Call it right after construction, before any chunk traffic:
-// placement must not change under stored chunks, or their ring walks
-// would resolve to different replicas than the ones holding the data.
-func (ps *ProviderSet) SetTopology(t cluster.Topology) { ps.topo = t }
-
-// TierReads returns the chunk reads served per locality tier, indexed
-// by cluster.Tier — the distribution topology-aware selection shifts
-// toward the near tiers.
-func (ps *ProviderSet) TierReads() [cluster.NumTiers]int64 {
-	var out [cluster.NumTiers]int64
-	for i := range ps.tierReads {
-		out[i] = ps.tierReads[i].Load()
-	}
-	return out
-}
 
 // fingerprint derives a content identity for a payload: an FNV-1a
 // hash of real bytes, or the (size, tag) pair for synthetic payloads.
@@ -210,109 +159,13 @@ func (ps *ProviderSet) PendingSnapshot() (ChunkKey, map[ChunkKey]bool) {
 	return wm, pending
 }
 
-// primarySlot returns the index into ps.nodes of a key's primary
-// replica — the single place the placement hash lives; the ring walks
-// of Replicas, ReReplicate and substitutes all start here.
-func (ps *ProviderSet) primarySlot(key ChunkKey) int {
-	return int(uint64(key) % uint64(len(ps.nodes)))
-}
-
-// Replicas returns the provider nodes responsible for a key, primary
-// first. Without a topology the ring is walked consecutively (§3.1.3
-// round-robin striping). With one, the walk spreads the copies across
-// failure domains: the first pass only takes nodes in zones no earlier
-// replica occupies, the second pass fresh racks, and the final pass
-// fills any remainder in plain ring order — so a chunk at replication
-// degree z survives z-1 zone losses, and the degenerate single-domain
-// topology reproduces the flat ring walk exactly.
-func (ps *ProviderSet) Replicas(key ChunkKey) []cluster.NodeID {
-	n := len(ps.nodes)
-	first := ps.primarySlot(key)
-	out := make([]cluster.NodeID, 0, ps.replicas)
-	if !ps.topo.Enabled() || ps.replicas == 1 {
-		for i := 0; i < ps.replicas; i++ {
-			out = append(out, ps.nodes[(first+i)%n])
-		}
-		return out
-	}
-	usedZones := make([]int, 0, ps.replicas)
-	usedRacks := make([]int, 0, ps.replicas)
-	taken := make([]bool, n)
-	for pass := 0; pass < 3 && len(out) < ps.replicas; pass++ {
-		for i := 0; i < n && len(out) < ps.replicas; i++ {
-			slot := (first + i) % n
-			if taken[slot] {
-				continue
-			}
-			nd := ps.nodes[slot]
-			if pass == 0 && containsInt(usedZones, ps.topo.Zone(nd)) {
-				continue
-			}
-			if pass == 1 && containsInt(usedRacks, ps.topo.Rack(nd)) {
-				continue
-			}
-			taken[slot] = true
-			usedZones = append(usedZones, ps.topo.Zone(nd))
-			usedRacks = append(usedRacks, ps.topo.Rack(nd))
-			out = append(out, nd)
-		}
-	}
-	return out
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// orderByLocality stably reorders a location list so the reader's
-// nearest copies come first; within a tier the existing failover order
-// is preserved. A disabled topology leaves the order untouched. The
-// sort is an adjacent-swap insertion sort: location lists are a
-// handful of entries, and adjacent swaps keep it stable.
-func (ps *ProviderSet) orderByLocality(reader cluster.NodeID, locs []cluster.NodeID) {
-	if !ps.topo.Enabled() || len(locs) < 2 {
-		return
-	}
-	for i := 1; i < len(locs); i++ {
-		ti := ps.topo.Tier(reader, locs[i])
-		for j := i; j > 0 && ps.topo.Tier(reader, locs[j-1]) > ti; j-- {
-			locs[j-1], locs[j] = locs[j], locs[j-1]
-		}
-	}
-}
-
-// Kill marks a provider as failed: it stops serving reads and accepting
-// writes. Data already replicated elsewhere stays readable.
-func (ps *ProviderSet) Kill(node cluster.NodeID) {
-	if a, ok := ps.alive[node]; ok {
-		a.Store(false)
-	}
-}
-
-// Revive brings a failed provider back (it serves its old chunks again).
-func (ps *ProviderSet) Revive(node cluster.NodeID) {
-	if a, ok := ps.alive[node]; ok {
-		a.Store(true)
-	}
-}
-
-func (ps *ProviderSet) isAlive(node cluster.NodeID) bool {
-	a, ok := ps.alive[node]
-	return ok && a.Load()
-}
-
 // NodePutRPCs returns a copy of the per-provider write-RPC counters —
 // the distribution the batched commit path flattens to one RPC per
 // provider per round.
 func (ps *ProviderSet) NodePutRPCs() map[cluster.NodeID]int64 {
-	out := make(map[cluster.NodeID]int64, len(ps.writesBy))
-	for n, w := range ps.writesBy {
-		if v := w.Load(); v > 0 {
+	out := make(map[cluster.NodeID]int64, len(ps.nodes))
+	for i, n := range ps.nodes {
+		if v := ps.writesBy[i].Load(); v > 0 {
 			out[n] = v
 		}
 	}
@@ -392,33 +245,25 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 		}
 	}
 	for i, pt := range puts {
-		ring := ps.Replicas(pt.Key)
-		for _, prov := range ring {
-			if !ps.isAlive(prov) {
-				deadRings[i] = append(deadRings[i], prov)
-				continue
-			}
+		var buf [ringBuf]cluster.NodeID
+		live, dead, subs := ps.place(buf[:0], pt.Key, !dup[i])
+		for _, prov := range live {
 			charge(prov, pt.Payload, !dup[i])
-			stored[i]++
 		}
+		for _, s := range subs {
+			charge(s, pt.Payload, true)
+		}
+		stored[i], deadRings[i], subsOf[i] = len(live)+len(subs), dead, subs
 		if stored[i] == 0 && dup[i] {
 			ps.mu.RLock()
-			canonLocs := ps.locationsLocked(canonical[i])
-			ps.mu.RUnlock()
-			for _, nd := range canonLocs {
+			for _, nd := range ps.appendLocationsLocked(buf[:0], canonical[i]) {
 				if ps.isAlive(nd) {
 					charge(nd, pt.Payload, false)
 					stored[i]++
 					break
 				}
 			}
-		}
-		if len(deadRings[i]) > 0 && !dup[i] {
-			subsOf[i] = ps.substitutes(pt.Key, ring, len(deadRings[i]))
-			for _, s := range subsOf[i] {
-				charge(s, pt.Payload, true)
-				stored[i]++
-			}
+			ps.mu.RUnlock()
 		}
 	}
 
@@ -426,14 +271,14 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 	// providers transferring concurrently, spawned in ring order for
 	// determinism.
 	tasks := make([]cluster.Task, 0, len(bytesTo))
-	for _, prov := range ps.nodes {
+	for slot, prov := range ps.nodes {
 		b, ok := bytesTo[prov]
 		if !ok {
 			continue
 		}
-		prov, d := prov, diskTo[prov]
+		d := diskTo[prov]
 		ps.PutRPCs.Add(1)
-		ps.writesBy[prov].Add(1)
+		ps.writesBy[slot].Add(1)
 		tasks = append(tasks, ctx.Go("put-batch", ctx.Node(), func(cc *cluster.Ctx) {
 			cc.RPC(prov, b, 16)
 			if d > 0 {
@@ -468,12 +313,7 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 		} else {
 			ps.chunks[pt.Key] = pt.Payload
 			ps.refs[pt.Key]++
-			if len(deadRings[i]) > 0 {
-				ps.voids[pt.Key] = deadRings[i]
-				if len(subsOf[i]) > 0 {
-					ps.repairs[pt.Key] = subsOf[i]
-				}
-			}
+			ps.recordLocked(pt.Key, deadRings[i], subsOf[i])
 		}
 		ps.retained[pt.Key] = true
 		ps.Writes.Add(1)
@@ -513,96 +353,35 @@ func fingerprintBatch(puts []ChunkPut) (fps []uint64, ok []bool) {
 	return fps, ok
 }
 
-// substitutes picks n live providers outside key's ring, walking the
-// node list from the key's primary slot (deterministic). Fewer than n
-// may be returned when not enough providers are up.
-func (ps *ProviderSet) substitutes(key ChunkKey, ring []cluster.NodeID, n int) []cluster.NodeID {
-	first := ps.primarySlot(key)
-	var out []cluster.NodeID
-	for i := 0; i < len(ps.nodes) && len(out) < n; i++ {
-		cand := ps.nodes[(first+i)%len(ps.nodes)]
-		if ps.isAlive(cand) && !containsProvider(ring, cand) {
-			out = append(out, cand)
-		}
-	}
-	return out
-}
-
-// locationsLocked returns the nodes holding key's payload in failover
-// order: ring replicas that actually stored it (a replica down at write
-// time never received its copy — see voids), then the substitute
-// locations degraded writes and repair sweeps created. The caller
-// holds ps.mu (either side); key must be canonical.
-func (ps *ProviderSet) locationsLocked(key ChunkKey) []cluster.NodeID {
-	ring := ps.Replicas(key)
-	voids := ps.voids[key]
-	out := make([]cluster.NodeID, 0, len(ring)+len(ps.repairs[key]))
-	for _, r := range ring {
-		if !containsProvider(voids, r) {
-			out = append(out, r)
-		}
-	}
-	return append(out, ps.repairs[key]...)
-}
-
 // Get fetches the payload for key, charging the provider's disk read
-// and the transfer back. Location choice is primary-first with
-// failover: dead holders are skipped (each one probed costs the
-// reader a timed-out request), and only when every copy is gone does
-// the read fail with ErrNoReplica. Aliased (deduplicated) keys
-// resolve to their canonical chunk, whose home provider serves the
-// read.
+// and the transfer back. Location choice is the placement's pick: the
+// reader's nearest live copy, primary-first within a tier, with dead
+// holders skipped (each one probed costs the reader a timed-out
+// request); only when every copy is gone does the read fail with
+// ErrNoReplica. Aliased (deduplicated) keys resolve to their canonical
+// chunk, whose holders serve the read.
 func (ps *ProviderSet) Get(ctx *cluster.Ctx, key ChunkKey) (Payload, error) {
 	ps.mu.RLock()
 	if canon, ok := ps.aliases[key]; ok {
 		key = canon
 	}
 	p, ok := ps.chunks[key]
-	// Fast path for the fault-free common case: with no voids or
-	// repair locations anywhere, the location set IS the ring, and the
-	// hot read path keeps its single slice allocation.
-	var locs []cluster.NodeID
-	if len(ps.voids) == 0 && len(ps.repairs) == 0 {
-		ps.mu.RUnlock()
-		locs = ps.Replicas(key)
-	} else {
-		locs = ps.locationsLocked(key)
-		ps.mu.RUnlock()
-	}
 	if !ok {
+		ps.mu.RUnlock()
 		return Payload{}, notFound("chunk", key)
 	}
-	// Nearest live copy first: reorder the failover list by the
-	// reader's locality tier (a no-op on the flat topology), keeping
-	// the existing order within each tier.
-	ps.orderByLocality(ctx.Node(), locs)
-	prov := cluster.NodeID(-1)
-	probes, failover := 0, false
-	for i, r := range locs {
-		if ps.isAlive(r) {
-			prov, failover = r, i > 0
-			break
-		}
-		probes++
-	}
-	if probes > 0 {
-		// Every dead copy probed costs the reader one timed-out
-		// request before it moves to the next candidate.
-		cfg := ctx.Fabric().Config()
-		ctx.Sleep(float64(probes) * (cfg.RTT + cfg.ReqOverhead))
-	}
-	if prov < 0 {
+	slot, probes := ps.pickLocked(ctx.Node(), key)
+	ps.mu.RUnlock()
+	probeWait(ctx, probes)
+	if slot < 0 {
 		ps.FailedReads.Add(1)
 		return Payload{}, fmt.Errorf("blob: chunk %d: %w", key, ErrNoReplica)
 	}
-	if failover {
-		ps.Failovers.Add(1)
-	}
+	prov := ps.nodes[slot]
 	ctx.DiskRead(prov, int64(p.Size))
 	ctx.RPC(prov, 32, int64(p.Size))
 	ps.Reads.Add(1)
-	ps.readsBy[prov].Add(1)
-	ps.tierReads[ps.topo.Tier(ctx.Node(), prov)].Add(1)
+	ps.readsBy[slot].Add(1)
 	return p, nil
 }
 
@@ -623,8 +402,8 @@ func (ps *ProviderSet) Peek(key ChunkKey) (Payload, bool) {
 // MaxNodeReads returns the chunk reads served by the busiest provider.
 func (ps *ProviderSet) MaxNodeReads() int64 {
 	var most int64
-	for _, r := range ps.readsBy {
-		if v := r.Load(); v > most {
+	for i := range ps.readsBy {
+		if v := ps.readsBy[i].Load(); v > most {
 			most = v
 		}
 	}
@@ -688,8 +467,7 @@ func (ps *ProviderSet) Release(ctx *cluster.Ctx, keys []ChunkKey) (released []Ch
 		released = append(released, key)
 		if ps.refs[canon]--; ps.refs[canon] <= 0 {
 			delete(ps.refs, canon)
-			delete(ps.repairs, canon)
-			delete(ps.voids, canon)
+			ps.forgetLocked(canon)
 			if p, ok := ps.chunks[canon]; ok {
 				delete(ps.chunks, canon)
 				freedBytes += int64(p.Size)
@@ -703,7 +481,8 @@ func (ps *ProviderSet) Release(ctx *cluster.Ctx, keys []ChunkKey) (released []Ch
 				}
 			}
 		}
-		for _, prov := range ps.Replicas(key) {
+		var buf [ringBuf]cluster.NodeID
+		for _, prov := range ps.appendReplicas(buf[:0], key) {
 			perNode[prov]++
 		}
 	}

@@ -2,7 +2,6 @@ package blob
 
 import (
 	"slices"
-	"sort"
 
 	"blobvfs/internal/cluster"
 )
@@ -11,9 +10,10 @@ import (
 // (cluster/faults.go): when the liveness registry reports a provider
 // transition, the set updates its liveness flags and re-replicates
 // every chunk left under-replicated onto surviving providers, so a
-// second failure does not take the last copy. Repair locations live in
-// ProviderSet.repairs and are consulted by Get after the placement
-// ring.
+// second failure does not take the last copy. The policy — ring walk,
+// voids and substitutes, the repair planner — is the shared placement
+// (placement.go); this file supplies the chunk plane's key set and
+// copy costs.
 
 // NodeChanged is the cluster liveness hook: wire it with
 // Liveness.OnChange. A death marks the provider failed, a revival
@@ -27,118 +27,38 @@ import (
 // copy transfers are then charged on the fabric. Non-provider nodes
 // are ignored.
 func (ps *ProviderSet) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
-	if _, ok := ps.alive[node]; !ok {
-		return
+	if ps.setAlive(node, alive) {
+		ps.ReReplicate(ctx)
 	}
-	if alive {
-		ps.Revive(node)
-	} else {
-		ps.Kill(node)
-	}
-	ps.ReReplicate(ctx)
-}
-
-// repairJob is one pending chunk copy: pull size bytes of key from src
-// onto dst.
-type repairJob struct {
-	key  ChunkKey
-	size int32
-	src  cluster.NodeID
-	dst  cluster.NodeID
 }
 
 // ReReplicate restores the replication degree of every under-
-// replicated stored chunk: for each chunk whose live location count
-// (ring replicas that actually hold it, plus earlier substitutes)
-// fell below the replication degree, new holders are chosen walking
-// the placement ring — live nodes not already in the location set,
-// void ring members first — until the degree is restored or no
-// eligible provider remains. The substitutions are
-// registered first (one lock acquisition, so reads fail over to them
-// immediately), then the copies are charged: one puller activity per
-// substitute provider, each pulling its chunks from the first
-// surviving copy. Chunks whose last copy is already gone cannot be
-// repaired and are skipped — the cohort sharing layer is then the only
-// remaining source. Returns how many copies were created.
-//
-// Chunk order is sorted and puller order is ring order, so repair is
-// deterministic regardless of map iteration.
+// replicated stored chunk (see placement.planRepairLocked), walking
+// the chunks in key order. The substitutions are registered first (one
+// lock acquisition, so reads fail over to them immediately), then the
+// copies are charged: one puller activity per substitute provider,
+// each pulling its chunks from the first surviving copy (disk read
+// there, transfer over, local write-back here). Chunks whose last copy
+// is already gone cannot be repaired and are skipped — the cohort
+// sharing layer is then the only remaining source. Returns how many
+// copies were created.
 func (ps *ProviderSet) ReReplicate(ctx *cluster.Ctx) int {
 	ps.mu.Lock()
 	keys := make([]ChunkKey, 0, len(ps.chunks))
 	for key := range ps.chunks {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	perDst := make(map[cluster.NodeID][]repairJob)
-	created := 0
-	for _, key := range keys {
-		ring := ps.Replicas(key)
-		locs := ps.locationsLocked(key)
-		live := make([]cluster.NodeID, 0, len(locs))
-		for _, n := range locs {
-			if ps.isAlive(n) {
-				live = append(live, n)
-			}
-		}
-		if len(live) == 0 || len(live) >= ps.replicas {
-			continue
-		}
-		size := ps.chunks[key].Size
-		src := live[0]
-		// Walk the ring from the chunk's primary slot for substitutes.
-		// A live ring replica that never got its copy (a void from a
-		// degraded write) is backfilled first — it is the chunk's
-		// rightful home; then live nodes outside the location set.
-		n := len(ps.nodes)
-		first := ps.primarySlot(key)
-		for i := 0; i < n && len(live) < ps.replicas; i++ {
-			cand := ps.nodes[(first+i)%n]
-			if !ps.isAlive(cand) || containsProvider(locs, cand) {
-				continue
-			}
-			if containsProvider(ring, cand) {
-				// A void ring member receiving its copy stops being a
-				// void — it is a ring location again.
-				ps.voids[key] = removeProvider(ps.voids[key], cand)
-				if len(ps.voids[key]) == 0 {
-					delete(ps.voids, key)
-				}
-			} else {
-				ps.repairs[key] = append(ps.repairs[key], cand)
-			}
-			locs = append(locs, cand)
-			live = append(live, cand)
-			perDst[cand] = append(perDst[cand], repairJob{key: key, size: size, src: src, dst: cand})
-			created++
-		}
+	slices.Sort(keys)
+	jobs := ps.planRepairLocked(keys)
+	for i := range jobs {
+		jobs[i].size = int64(ps.chunks[jobs[i].key].Size)
 	}
 	ps.mu.Unlock()
-	if created == 0 {
-		return 0
-	}
-	ps.Rereplicated.Add(int64(created))
-
-	// Charge the copies: one puller per substitute provider, in ring
-	// order, each pulling its chunks sequentially from the surviving
-	// source (disk read there, transfer over, local write-back here).
-	tasks := make([]cluster.Task, 0, len(perDst))
-	for _, dst := range ps.nodes {
-		jobs := perDst[dst]
-		if len(jobs) == 0 {
-			continue
-		}
-		tasks = append(tasks, ctx.Go("rereplicate", dst, func(cc *cluster.Ctx) {
-			for _, j := range jobs {
-				cc.DiskRead(j.src, int64(j.size))
-				cc.RPC(j.src, 32, int64(j.size))
-				cc.DiskWriteAsync(j.dst, int64(j.size))
-			}
-		}))
-	}
-	ctx.WaitAll(tasks)
-	return created
+	return ps.rereplicate(ctx, "rereplicate", jobs, func(cc *cluster.Ctx, j repairJob[ChunkKey]) {
+		cc.DiskRead(j.src, j.size)
+		cc.RPC(j.src, 32, j.size)
+		cc.DiskWriteAsync(j.dst, j.size)
+	})
 }
 
 // LiveLocations returns the providers currently able to serve key —
@@ -147,32 +67,12 @@ func (ps *ProviderSet) ReReplicate(ctx *cluster.Ctx) int {
 // inspection hook for invariant tests and diagnostics.
 func (ps *ProviderSet) LiveLocations(key ChunkKey) []cluster.NodeID {
 	ps.mu.RLock()
+	defer ps.mu.RUnlock()
 	if canon, ok := ps.aliases[key]; ok {
 		key = canon
 	}
 	if _, ok := ps.chunks[key]; !ok {
-		ps.mu.RUnlock()
 		return nil
 	}
-	locs := ps.locationsLocked(key)
-	ps.mu.RUnlock()
-	out := make([]cluster.NodeID, 0, len(locs))
-	for _, n := range locs {
-		if ps.isAlive(n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func containsProvider(nodes []cluster.NodeID, n cluster.NodeID) bool {
-	return slices.Contains(nodes, n)
-}
-
-// removeProvider deletes the first occurrence of n, in place.
-func removeProvider(nodes []cluster.NodeID, n cluster.NodeID) []cluster.NodeID {
-	if i := slices.Index(nodes, n); i >= 0 {
-		return slices.Delete(nodes, i, i+1)
-	}
-	return nodes
+	return ps.liveLocationsLocked(key)
 }

@@ -129,7 +129,7 @@ func TestGetPrefersNearestReplicaAndCountsTiers(t *testing.T) {
 			}
 		})
 		ctx.Wait(done)
-		if n := ps.readsBy[locs[1]].Load(); n != 1 {
+		if n := ps.readsBy[ps.slot[locs[1]]].Load(); n != 1 {
 			t.Errorf("same-zone replica served %d reads, want 1", n)
 		}
 		tiers := ps.TierReads()

@@ -20,9 +20,10 @@ import (
 // every mutating operation appends a journal record to the standby
 // nodes before it is acknowledged, and when the manager's host is down
 // the first live standby serves in its place — so Latest/Root/pin
-// state survives the death of its host. Without standbys (the
-// default) every cost stays byte-identical to the unreplicated
-// manager and the host is assumed fault-free.
+// state survives the death of its host. The same code runs with or
+// without standbys; blobvfs.Open configures them, and subscribes the
+// group to liveness transitions, only when metadata replication is
+// above 1, so the default single host is never marked down.
 type VersionManager struct {
 	node cluster.NodeID
 	// hosts is the journal group: the manager's own node followed by
@@ -134,8 +135,8 @@ func (vm *VersionManager) charge(ctx *cluster.Ctx, req, resp int64) {
 // chargeMut costs one mutating manager RPC: the operation to the
 // active host plus a small journal-append record to every other live
 // member of the group, so manager state survives the host's death.
-// Without standbys the loop never runs and the cost is the legacy
-// single RPC.
+// Without standbys the loop never runs and the cost is the single
+// RPC.
 func (vm *VersionManager) chargeMut(ctx *cluster.Ctx, req, resp int64) {
 	active := vm.activeHost()
 	ctx.RPC(active, req, resp)

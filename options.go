@@ -48,15 +48,16 @@ func WithReplicas(k int) Option {
 
 // WithMetaReplicas sets the metadata replication degree: each segment-
 // tree node ref maps to an r-replica ring over the metadata providers
-// (spread across failure domains with WithTopology), writes fan out to
-// every live ring member and write around dead ones, reads probe the
-// nearest live replica first and fail over down the ring, and every
-// liveness transition triggers a metadata repair sweep that restores
-// the degree. The version manager's records are journaled to r-1
-// standby nodes the same way, so control-plane state survives the
-// death of its host. Default: 1 — today's single-home layout with the
-// control plane assumed fault-free, byte-identical to a repo opened
-// before metadata replication existed.
+// (spread across failure domains with WithTopology), placed, read and
+// repaired by the same path at every degree: writes fan out to every
+// live ring member and write around dead ones, reads probe the nearest
+// live replica first and fail over down the ring. With r > 1 the
+// metadata tier is subscribed to the repo's liveness transitions, each
+// of which triggers a metadata repair sweep that restores the degree,
+// and the version manager's records are journaled to r-1 standby nodes
+// so control-plane state survives the death of its host. Default: 1 —
+// one home provider per ref, and a control plane left off the liveness
+// registry, so fault plans never touch it.
 func WithMetaReplicas(r int) Option {
 	return func(c *config) { c.metaReplicas = r }
 }

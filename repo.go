@@ -93,9 +93,9 @@ func Open(fab Fabric, opts ...Option) (*Repo, error) {
 	if cfg.dedup {
 		r.sys.Providers.EnableDedup()
 	}
-	if cfg.topo.Enabled() {
-		r.sys.Providers.SetTopology(cfg.topo)
-	}
+	r.sys.Providers.SetTopology(cfg.topo)
+	r.sys.Meta.SetReplication(cfg.metaReplicas)
+	r.sys.Meta.SetTopology(cfg.topo)
 	r.liveness = cluster.NewLiveness(fab.Nodes())
 	// The control-plane listeners register before the provider set's:
 	// listeners run in registration order and block the injector, and
@@ -103,11 +103,10 @@ func Open(fab Fabric, opts ...Option) (*Repo, error) {
 	// metadata and version-manager flags must flip (and the cheap
 	// metadata sweep run) before that, or reads issued right after a
 	// kill would still be routed to the dead control-plane replica.
+	// A single-copy control plane (the default) is assumed fault-free:
+	// it is subscribed to liveness only when it has replicas to fail
+	// over to.
 	if cfg.metaReplicas > 1 {
-		r.sys.Meta.SetReplication(cfg.metaReplicas)
-		if cfg.topo.Enabled() {
-			r.sys.Meta.SetTopology(cfg.topo)
-		}
 		r.liveness.OnChange(r.sys.Meta.NodeChanged)
 		// The version manager's journal standbys: the first r-1
 		// providers distinct from its own host.
