@@ -1,33 +1,15 @@
-// Command benchjson distills `go test -bench` output into a small
-// machine-readable artifact. scripts/bench.sh pipes the benchmark run
-// into bench.txt and then invokes this command once per family:
+// Command benchjson distills `go test -bench` output into small
+// machine-readable artifacts, one per benchmark family of the families
+// table: each keeps its family's benchmark lines with their ns/op and
+// custom metrics, plus the family's headline summary. scripts/bench.sh
+// pipes the benchmark run into bench.txt and then invokes this command
+// once, which writes every family.
 //
-//   - family flashcrowd → BENCH_flashcrowd.json: every
-//     flash-crowd-family benchmark line (flash, degraded, crosszone)
-//     with its ns/op and custom metrics, plus a cross_zone summary
-//     with the flat and aware interconnect byte counts and the
-//     reduction factor topology awareness achieved.
-//   - family multisnapshot → BENCH_multisnapshot.json: the
-//     BenchmarkMultisnapshot1024 lines, plus a multisnapshot summary
-//     with the per-chunk and actual write RPCs per commit round, the
-//     reduction factor batching achieves, and ns/op. The family fails
-//     when the benchmark line is missing rather than writing a file
-//     without its summary.
-//   - family metaoutage → BENCH_metaoutage.json: the metadata-outage
-//     benchmark lines, plus a meta_outage summary with both arms'
-//     completion times, the outage delta, and the metadata failover,
-//     re-replication and failed-descent counts.
-//   - family export → BENCH_export.json: the differential-sync
-//     benchmark line, plus an export summary with the average delta
-//     and full-image byte counts, the reduction factor, and the
-//     shipped and import-side-deduplicated chunk counts.
-//   - family scale → BENCH_scale.json: the flash-crowd scale sweep
-//     (BenchmarkFlashCrowdScale plus BenchmarkFlashCrowd10k), with a
-//     scale summary charting instances vs wall-clock ns/op and
-//     allocs/op — the trajectory that shows whether the simulator
-//     itself keeps up with paper-scale ×100 crowds.
+// Usage:
 //
-// Usage: benchjson [-in bench.txt] [-out BENCH_<family>.json] [-family flashcrowd|multisnapshot|metaoutage|export|scale]
+//	benchjson [-in bench.txt]                       write every family
+//	benchjson [-in bench.txt] -family F [-out file] write one family
+//	benchjson -list                                 print every family's output file
 package main
 
 import (
@@ -35,7 +17,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -135,92 +119,111 @@ type metaOutage struct {
 	FailedDescents     float64 `json:"failed_descents"`
 }
 
-func main() {
-	in := flag.String("in", "bench.txt", "benchmark output to parse")
-	family := flag.String("family", "flashcrowd", "benchmark family to distill: flashcrowd, multisnapshot, metaoutage, export or scale")
-	out := flag.String("out", "", "artifact to write (default BENCH_<family>.json)")
-	flag.Parse()
-	var prefixes, excludes []string
-	switch *family {
-	case "flashcrowd":
-		prefixes = []string{"BenchmarkFlashCrowd"}
+// artifact is the document one family writes: its benchmark lines
+// plus the family's headline summary (the other summaries stay
+// omitted).
+type artifact struct {
+	Benchmarks    map[string]benchLine `json:"benchmarks"`
+	CrossZone     *crossZone           `json:"cross_zone,omitempty"`
+	Multisnapshot *multisnapshot       `json:"multisnapshot,omitempty"`
+	MetaOutage    *metaOutage          `json:"meta_outage,omitempty"`
+	Export        *exportSummary       `json:"export,omitempty"`
+	Scale         *scaleSummary        `json:"scale,omitempty"`
+}
+
+// family is one artifact: the benchmark lines it keeps (names starting
+// with a prefix and with no exclude) and the summary it derives from
+// them. Summary benchmark names are unsuffixed on the cpu=1 run (go
+// test only appends -N for GOMAXPROCS > 1).
+type family struct {
+	name, out          string
+	prefixes, excludes []string
+	summarize          func(benches map[string]benchLine, doc *artifact) error
+}
+
+var families = []family{
+	// The flash-crowd family (flash, degraded, crosszone), summarized by
+	// the flat and aware interconnect bytes and the reduction factor
+	// topology awareness achieved.
+	{
+		name: "flashcrowd", out: "BENCH_flashcrowd.json",
+		prefixes: []string{"BenchmarkFlashCrowd"},
 		// The outage and scale sweeps are their own families.
-		excludes = []string{"BenchmarkFlashCrowdMetaOutage", "BenchmarkFlashCrowdScale", "BenchmarkFlashCrowd10k"}
-	case "multisnapshot":
-		prefixes = []string{"BenchmarkMultisnapshot"}
-	case "metaoutage":
-		prefixes = []string{"BenchmarkFlashCrowdMetaOutage"}
-	case "export":
-		prefixes = []string{"BenchmarkExportImport"}
-	case "scale":
-		prefixes = []string{"BenchmarkFlashCrowdScale", "BenchmarkFlashCrowd10k"}
-	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown family %q\n", *family)
-		os.Exit(2)
-	}
-	if *out == "" {
-		*out = "BENCH_" + *family + ".json"
-	}
+		excludes:  []string{"BenchmarkFlashCrowdMetaOutage", "BenchmarkFlashCrowdScale", "BenchmarkFlashCrowd10k"},
+		summarize: crossZoneSummary,
+	},
+	// The multisnapshot write path: per-chunk vs actual write RPCs per
+	// commit round, the reduction factor and ns/op. The family fails
+	// when the benchmark line is missing rather than writing a file
+	// without its summary.
+	{
+		name: "multisnapshot", out: "BENCH_multisnapshot.json",
+		prefixes: []string{"BenchmarkMultisnapshot"},
+		summarize: func(benches map[string]benchLine, doc *artifact) (err error) {
+			doc.Multisnapshot, err = multisnapshotSummary(benches)
+			return err
+		},
+	},
+	// Flash-crowd completion healthy vs through a metadata outage, with
+	// the failover, re-replication and failed-descent counts.
+	{
+		name: "metaoutage", out: "BENCH_metaoutage.json",
+		prefixes:  []string{"BenchmarkFlashCrowdMetaOutage"},
+		summarize: metaOutageSummary,
+	},
+	// Differential sync: average delta vs full-image bytes, the
+	// reduction factor, and the shipped and deduplicated chunk counts.
+	{
+		name: "export", out: "BENCH_export.json",
+		prefixes:  []string{"BenchmarkExportImport"},
+		summarize: exportSummaryOf,
+	},
+	// The flash-crowd scale sweep: instances vs wall-clock ns/op and
+	// allocs/op — whether the simulator itself keeps up with
+	// paper-scale ×100 crowds.
+	{
+		name: "scale", out: "BENCH_scale.json",
+		prefixes:  []string{"BenchmarkFlashCrowdScale", "BenchmarkFlashCrowd10k"},
+		summarize: scaleSummaryOf,
+	},
+}
 
-	f, err := os.Open(*in)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-
-	benches := map[string]benchLine{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		name, bl, ok := parseLine(sc.Text())
-		if !ok || !matches(name, prefixes, excludes) {
-			continue
-		}
-		benches[name] = bl
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	if len(benches) == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: no %s benchmark lines in %s\n", *family, *in)
-		os.Exit(1)
-	}
-
-	doc := struct {
-		Benchmarks    map[string]benchLine `json:"benchmarks"`
-		CrossZone     *crossZone           `json:"cross_zone,omitempty"`
-		Multisnapshot *multisnapshot       `json:"multisnapshot,omitempty"`
-		MetaOutage    *metaOutage          `json:"meta_outage,omitempty"`
-		Export        *exportSummary       `json:"export,omitempty"`
-		Scale         *scaleSummary        `json:"scale,omitempty"`
-	}{Benchmarks: benches}
-
-	// Summary benchmark names are unsuffixed on the cpu=1 run (go test
-	// only appends -N for GOMAXPROCS > 1).
+func crossZoneSummary(benches map[string]benchLine, doc *artifact) error {
 	flat, okF := benches["BenchmarkFlashCrowdCrossZone/flat"]
 	aware, okA := benches["BenchmarkFlashCrowdCrossZone/aware"]
-	if okF && okA {
-		cz := &crossZone{
-			FlatBytes:      flat.Metrics["cross-zone-MB"] * 1e6,
-			AwareBytes:     aware.Metrics["cross-zone-MB"] * 1e6,
-			FlatProvReads:  flat.Metrics["provider-reads"],
-			AwareProvReads: aware.Metrics["provider-reads"],
-		}
-		if cz.AwareBytes > 0 {
-			cz.ReductionX = cz.FlatBytes / cz.AwareBytes
-		}
-		doc.CrossZone = cz
+	if !okF || !okA {
+		return nil
 	}
-	if *family == "multisnapshot" {
-		ms, err := multisnapshotSummary(benches)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *in, err)
-			os.Exit(1)
-		}
-		doc.Multisnapshot = ms
+	cz := &crossZone{
+		FlatBytes:      flat.Metrics["cross-zone-MB"] * 1e6,
+		AwareBytes:     aware.Metrics["cross-zone-MB"] * 1e6,
+		FlatProvReads:  flat.Metrics["provider-reads"],
+		AwareProvReads: aware.Metrics["provider-reads"],
 	}
+	if cz.AwareBytes > 0 {
+		cz.ReductionX = cz.FlatBytes / cz.AwareBytes
+	}
+	doc.CrossZone = cz
+	return nil
+}
+
+func metaOutageSummary(benches map[string]benchLine, doc *artifact) error {
+	healthy, okH := benches["BenchmarkFlashCrowdMetaOutage/healthy"]
+	hit, okO := benches["BenchmarkFlashCrowdMetaOutage/outage"]
+	if okH && okO {
+		doc.MetaOutage = &metaOutage{
+			HealthyCompletionS: healthy.Metrics["completion-s"],
+			OutageCompletionS:  hit.Metrics["completion-s"],
+			CompletionDeltaS:   hit.Metrics["completion-s"] - healthy.Metrics["completion-s"],
+			MetaFailovers:      hit.Metrics["meta-failovers"],
+			MetaRereplicated:   hit.Metrics["meta-re-replicated"],
+			FailedDescents:     hit.Metrics["failed-descents"],
+		}
+	}
+	return nil
+}
+
+func exportSummaryOf(benches map[string]benchLine, doc *artifact) error {
 	if exp, ok := benches["BenchmarkExportImport"]; ok {
 		doc.Export = &exportSummary{
 			DeltaBytes:    exp.Metrics["delta-MB"] * 1e6,
@@ -230,58 +233,118 @@ func main() {
 			DedupedChunks: exp.Metrics["deduped-chunks"],
 		}
 	}
-	if *family == "scale" {
-		// cpu=1 rows carry unsuffixed names; collect them in crowd-size
-		// order. The 10k point is absent from -short (CI) runs, so the
-		// summary simply holds the points that ran.
-		sum := &scaleSummary{}
-		for _, name := range []string{
-			"BenchmarkFlashCrowdScale/inst-256",
-			"BenchmarkFlashCrowdScale/inst-1024",
-			"BenchmarkFlashCrowd10k",
-		} {
-			bl, ok := benches[name]
-			if !ok {
-				continue
-			}
-			sum.Points = append(sum.Points, scalePoint{
-				Instances:   bl.Metrics["instances"],
-				Booted:      bl.Metrics["booted"],
-				NsOp:        bl.Metrics["ns/op"],
-				AllocsOp:    bl.Metrics["allocs/op"],
-				BytesOp:     bl.Metrics["B/op"],
-				SimSteps:    bl.Metrics["sim-steps"],
-				CompletionS: bl.Metrics["completion-s"],
-			})
-		}
-		doc.Scale = sum
-	}
-	if *family == "metaoutage" {
-		healthy, okH := benches["BenchmarkFlashCrowdMetaOutage/healthy"]
-		hit, okO := benches["BenchmarkFlashCrowdMetaOutage/outage"]
-		if okH && okO {
-			doc.MetaOutage = &metaOutage{
-				HealthyCompletionS: healthy.Metrics["completion-s"],
-				OutageCompletionS:  hit.Metrics["completion-s"],
-				CompletionDeltaS:   hit.Metrics["completion-s"] - healthy.Metrics["completion-s"],
-				MetaFailovers:      hit.Metrics["meta-failovers"],
-				MetaRereplicated:   hit.Metrics["meta-re-replicated"],
-				FailedDescents:     hit.Metrics["failed-descents"],
-			}
-		}
-	}
+	return nil
+}
 
-	buf, err := json.MarshalIndent(doc, "", "  ")
+// scaleSummaryOf collects the cpu=1 rows in crowd-size order. The 10k
+// point is absent from -short (CI) runs, so the summary simply holds
+// the points that ran.
+func scaleSummaryOf(benches map[string]benchLine, doc *artifact) error {
+	sum := &scaleSummary{}
+	for _, name := range []string{
+		"BenchmarkFlashCrowdScale/inst-256",
+		"BenchmarkFlashCrowdScale/inst-1024",
+		"BenchmarkFlashCrowd10k",
+	} {
+		bl, ok := benches[name]
+		if !ok {
+			continue
+		}
+		sum.Points = append(sum.Points, scalePoint{
+			Instances:   bl.Metrics["instances"],
+			Booted:      bl.Metrics["booted"],
+			NsOp:        bl.Metrics["ns/op"],
+			AllocsOp:    bl.Metrics["allocs/op"],
+			BytesOp:     bl.Metrics["B/op"],
+			SimSteps:    bl.Metrics["sim-steps"],
+			CompletionS: bl.Metrics["completion-s"],
+		})
+	}
+	doc.Scale = sum
+	return nil
+}
+
+func main() {
+	in := flag.String("in", "bench.txt", "benchmark output to parse")
+	only := flag.String("family", "", "write only this family (default: every family)")
+	out := flag.String("out", "", "artifact to write with -family (default: the family's own file)")
+	list := flag.Bool("list", false, "print every family's output file, one per line, and exit")
+	flag.Parse()
+	if *list {
+		writeList(os.Stdout)
+		return
+	}
+	fams := families
+	if *only != "" {
+		i := slices.IndexFunc(families, func(f family) bool { return f.name == *only })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: unknown family %q\n", *only)
+			os.Exit(2)
+		}
+		fams = []family{families[i]}
+		if *out != "" {
+			fams[0].out = *out
+		}
+	} else if *out != "" {
+		fmt.Fprintln(os.Stderr, "benchjson: -out needs -family")
+		os.Exit(2)
+	}
+	if err := run(*in, fams); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// writeList prints every family's output file, one per line.
+func writeList(w io.Writer) {
+	for _, f := range families {
+		fmt.Fprintln(w, f.out)
+	}
+}
+
+// run parses the benchmark output once and writes each family's
+// artifact, stopping at the first family that fails.
+func run(in string, fams []family) error {
+	f, err := os.Open(in)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+	defer f.Close()
+	all := map[string]benchLine{}
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		if name, bl, ok := parseLine(sc.Text()); ok {
+			all[name] = bl
+		}
 	}
-	fmt.Printf("benchjson: wrote %s (%d benchmarks)\n", *out, len(benches))
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	for _, fam := range fams {
+		benches := map[string]benchLine{}
+		for name, bl := range all {
+			if matches(name, fam.prefixes, fam.excludes) {
+				benches[name] = bl
+			}
+		}
+		if len(benches) == 0 {
+			return fmt.Errorf("no %s benchmark lines in %s", fam.name, in)
+		}
+		doc := artifact{Benchmarks: benches}
+		if err := fam.summarize(benches, &doc); err != nil {
+			return fmt.Errorf("%s: %v", in, err)
+		}
+		buf, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(fam.out, append(buf, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("benchjson: wrote %s (%d benchmarks)\n", fam.out, len(benches))
+	}
+	return nil
 }
 
 // matches reports whether name starts with any of the prefixes and

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -70,5 +73,28 @@ func TestMultisnapshotSummary(t *testing.T) {
 	delete(benches, "BenchmarkMultisnapshot1024")
 	if _, err := multisnapshotSummary(benches); err == nil {
 		t.Fatal("summary without the cpu=1 line succeeded")
+	}
+}
+
+// TestListMatchesCheckedInArtifacts: -list (which the CI artifact
+// check loops over) names exactly the BENCH_*.json files checked in at
+// the repository root, so a family cannot be added or dropped without
+// its artifact following.
+func TestListMatchesCheckedInArtifacts(t *testing.T) {
+	var buf bytes.Buffer
+	writeList(&buf)
+	listed := strings.Fields(buf.String())
+	slices.Sort(listed)
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checkedIn []string
+	for _, p := range paths {
+		checkedIn = append(checkedIn, filepath.Base(p))
+	}
+	slices.Sort(checkedIn)
+	if len(checkedIn) != 5 || !slices.Equal(listed, checkedIn) {
+		t.Fatalf("-list = %v, checked-in artifacts = %v (want the same five)", listed, checkedIn)
 	}
 }

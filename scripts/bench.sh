@@ -3,9 +3,10 @@
 # figure regenerations plus the metadata hot-path microbenchmarks —
 # with allocation reporting, and writes the raw output to bench.txt
 # (the artifact CI uploads, and the input `benchstat old.txt new.txt`
-# compares across commits). It then distills the families via
-# cmd/benchjson for dashboards that don't want to parse Go benchmark
-# output: the flash-crowd family (flash, degraded, crosszone) into
+# compares across commits). It then distills the families via one
+# cmd/benchjson run (`go run ./cmd/benchjson -list` names the files)
+# for dashboards that don't want to parse Go benchmark output: the
+# flash-crowd family (flash, degraded, crosszone) into
 # BENCH_flashcrowd.json — provider reads, cross-zone bytes (flat vs
 # topology-aware, with the reduction factor) and ns/op — and the
 # multisnapshot write path into BENCH_multisnapshot.json — provider
@@ -24,15 +25,10 @@
 # itself, so CI charts the quick scale points (256/1k) while a local
 # run produces the full sweep including the 10k point.
 #
-# Usage: scripts/bench.sh [output-file] [json-file] [multisnap-json-file] [metaoutage-json-file] [export-json-file] [scale-json-file]
+# Usage: scripts/bench.sh [output-file]
 set -eu
 
 out="${1:-bench.txt}"
-json="${2:-BENCH_flashcrowd.json}"
-msjson="${3:-BENCH_multisnapshot.json}"
-mojson="${4:-BENCH_metaoutage.json}"
-exjson="${5:-BENCH_export.json}"
-scjson="${6:-BENCH_scale.json}"
 
 go test -run '^$' \
   -bench 'BenchmarkFig4PaperScale|BenchmarkFlashCrowd256|BenchmarkFlashCrowdDegraded|BenchmarkFlashCrowdCrossZone|BenchmarkFlashCrowdMetaOutage|BenchmarkFlashCrowdScale|BenchmarkMultisnapshot1024|BenchmarkChurn|BenchmarkExportImport|BenchmarkCommitDataStructures|BenchmarkMetadataHotPath|BenchmarkMetadataColdDescent' \
@@ -48,8 +44,4 @@ if [ "${BENCH_SHORT:-0}" != "1" ]; then
     -benchmem -count=1 -cpu 1 -timeout 120m . | tee -a "$out"
 fi
 
-go run ./cmd/benchjson -in "$out" -family flashcrowd -out "$json"
-go run ./cmd/benchjson -in "$out" -family multisnapshot -out "$msjson"
-go run ./cmd/benchjson -in "$out" -family metaoutage -out "$mojson"
-go run ./cmd/benchjson -in "$out" -family export -out "$exjson"
-go run ./cmd/benchjson -in "$out" -family scale -out "$scjson"
+go run ./cmd/benchjson -in "$out"
