@@ -261,6 +261,54 @@ func TestReleaseIdempotent(t *testing.T) {
 	})
 }
 
+// TestReleaseChargesEveryLiveHolder: releasing a chunk sends its delete
+// RPC to every live provider holding the content — the ring members
+// that stored it plus the substitutes of a degraded put — and not to a
+// ring member that was down at write time and never got its copy.
+func TestReleaseChargesEveryLiveHolder(t *testing.T) {
+	fab := cluster.NewSim(cluster.DefaultConfig(5))
+	ps := NewProviderSet([]cluster.NodeID{1, 2, 3, 4}, 2)
+	const del = 24 + 16 // one holder's delete RPC for one key: request + response
+
+	fab.Run(func(ctx *cluster.Ctx) {
+		release := func(key ChunkKey) int64 {
+			t.Helper()
+			before := fab.NetTraffic()
+			if released, _ := ps.Release(ctx, []ChunkKey{key}); len(released) != 1 {
+				t.Fatalf("Release(%d) released %v, want the key", key, released)
+			}
+			return fab.NetTraffic() - before
+		}
+		put := func() ChunkKey {
+			t.Helper()
+			key := ps.AllocKey()
+			if err := ps.PutBatch(ctx, []ChunkPut{{Key: key, Payload: SyntheticPayload(1024, uint64(key))}}); err != nil {
+				t.Fatal(err)
+			}
+			return key
+		}
+
+		if got := release(put()); got != 2*del {
+			t.Fatalf("healthy release moved %d bytes, want %d (both ring members)", got, 2*del)
+		}
+
+		// The home is down at write time: the put leaves a void there and
+		// writes around it onto a substitute.
+		key := ps.AllocKey()
+		home := ps.Replicas(key)[0]
+		ps.Kill(home)
+		if err := ps.PutBatch(ctx, []ChunkPut{{Key: key, Payload: SyntheticPayload(1024, 9)}}); err != nil {
+			t.Fatal(err)
+		}
+		if got := release(key); got != 2*del {
+			t.Fatalf("release of a degraded put moved %d bytes, want %d (surviving member + substitute)", got, 2*del)
+		}
+		if n := ps.Reclaimed.Load(); n != 2 {
+			t.Fatalf("Reclaimed = %d, want 2", n)
+		}
+	})
+}
+
 // TestCollectorSkipsOverlappingCycle: the second of two overlapping
 // Collect calls reports Skipped instead of blocking or double-freeing.
 func TestCollectorSkipsOverlappingCycle(t *testing.T) {

@@ -338,12 +338,7 @@ func (m *MetaService) Sweep(ctx *cluster.Ctx, upTo NodeRef, live, pending map[No
 	counts := make([]int64, len(m.nodes))
 	m.repMu.Lock()
 	for _, ref := range dropped {
-		var buf [ringBuf]cluster.NodeID
-		for _, n := range m.appendLocationsLocked(buf[:0], ref) {
-			if slot := m.slot[n]; m.up[slot].Load() {
-				counts[slot]++
-			}
-		}
+		m.countLiveLocationsLocked(counts, ref)
 		m.forgetLocked(ref)
 	}
 	m.repMu.Unlock()

@@ -221,6 +221,18 @@ func (p *placement[K]) appendLocationsLocked(buf []cluster.NodeID, k K) []cluste
 	return append(buf, p.repairs[k]...)
 }
 
+// countLiveLocationsLocked adds one to counts[slot] for every live
+// node holding a copy of k: the per-holder tally of a delete, which
+// must run before k's records are forgotten.
+func (p *placement[K]) countLiveLocationsLocked(counts []int64, k K) {
+	var buf [ringBuf]cluster.NodeID
+	for _, n := range p.appendLocationsLocked(buf[:0], k) {
+		if slot := p.slot[n]; p.up[slot].Load() {
+			counts[slot]++
+		}
+	}
+}
+
 // liveLocationsLocked returns the live nodes holding a key's copies,
 // in failover order, in a fresh slice.
 func (p *placement[K]) liveLocationsLocked(k K) []cluster.NodeID {

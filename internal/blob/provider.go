@@ -448,11 +448,12 @@ func (ps *ProviderSet) RetainedKeys(upTo ChunkKey) []ChunkKey {
 // freed (its payload, fingerprint entry and replicas' disk space).
 // Keys already released or never stored are ignored, so Release is
 // idempotent per key. It returns the keys actually released and the
-// payload bytes freed, and charges one small batched RPC per replica
-// provider of the released keys — deletion is a metadata operation;
-// the freed blocks are trimmed asynchronously.
+// payload bytes freed, and charges one small batched RPC per live
+// provider holding the released keys' content (ring members that
+// stored it plus substitutes) — deletion is a metadata operation; the
+// freed blocks are trimmed asynchronously.
 func (ps *ProviderSet) Release(ctx *cluster.Ctx, keys []ChunkKey) (released []ChunkKey, freedBytes int64) {
-	perNode := make(map[cluster.NodeID]int64)
+	counts := make([]int64, len(ps.nodes))
 	ps.mu.Lock()
 	for _, key := range keys {
 		if !ps.retained[key] {
@@ -465,6 +466,10 @@ func (ps *ProviderSet) Release(ctx *cluster.Ctx, keys []ChunkKey) (released []Ch
 			delete(ps.aliases, key)
 		}
 		released = append(released, key)
+		// The delete goes to the content's live holders, counted before
+		// its degraded-placement records, which name some of them, are
+		// forgotten.
+		ps.countLiveLocationsLocked(counts, canon)
 		if ps.refs[canon]--; ps.refs[canon] <= 0 {
 			delete(ps.refs, canon)
 			ps.forgetLocked(canon)
@@ -481,15 +486,11 @@ func (ps *ProviderSet) Release(ctx *cluster.Ctx, keys []ChunkKey) (released []Ch
 				}
 			}
 		}
-		var buf [ringBuf]cluster.NodeID
-		for _, prov := range ps.appendReplicas(buf[:0], key) {
-			perNode[prov]++
-		}
 	}
 	ps.mu.Unlock()
 	// Charge per-provider deletion batches in deterministic ring order.
-	for _, prov := range ps.nodes {
-		if c := perNode[prov]; c > 0 && ps.isAlive(prov) {
+	for slot, prov := range ps.nodes {
+		if c := counts[slot]; c > 0 {
 			ctx.RPC(prov, c*24, 16)
 		}
 	}

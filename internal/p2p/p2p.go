@@ -2,11 +2,9 @@ package p2p
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"blobvfs/internal/blob"
-	"blobvfs/internal/broadcast"
 	"blobvfs/internal/cluster"
 )
 
@@ -14,10 +12,6 @@ import (
 type Config struct {
 	// AnnounceBytes is the wire size of one chunk-location record.
 	AnnounceBytes int64
-	// DigestEvery pushes the accumulated location delta to all members
-	// (via the broadcast tree) after this many fresh announcements.
-	// 0 disables digests: every lookup then queries the tracker.
-	DigestEvery int
 	// MaxUploads caps a member's concurrent uploads to siblings; a
 	// saturated holder is skipped. 0 means unlimited.
 	MaxUploads int
@@ -25,21 +19,25 @@ type Config struct {
 
 // DefaultConfig returns the calibrated protocol constants.
 func DefaultConfig() Config {
-	return Config{AnnounceBytes: 24, DigestEvery: 64, MaxUploads: 4}
+	return Config{AnnounceBytes: 24, MaxUploads: 4}
 }
 
 // Stats aggregates a cohort's protocol counters.
 type Stats struct {
-	Announced    int64 // chunk locations accepted by the tracker
-	Duplicates   int64 // announcements dropped by (member, chunk) dedup
-	Retracted    int64 // locations withdrawn (local copy diverged)
-	Reclaimed    int64 // locations dropped because GC freed the chunk
-	DeadDropped  int64 // locations dropped because their holder died
-	PeerHits     int64 // Locate calls answered with a peer
-	DigestHits   int64 // ... of which served from the local digest
-	Misses       int64 // fell back to providers: no sibling holds it
-	Saturated    int64 // fell back: every holder at MaxUploads
-	DigestPushes int64 // location deltas broadcast to the cohort
+	Announced   int64 // chunk locations accepted by the tracker
+	Duplicates  int64 // announcements dropped by (member, chunk) dedup
+	Retracted   int64 // locations withdrawn (local copy diverged)
+	Reclaimed   int64 // locations dropped because GC freed the chunk
+	DeadDropped int64 // locations dropped because their holder died
+	PeerHits    int64 // Locate calls answered with a peer
+	Misses      int64 // fell back to providers: no sibling holds it
+	Saturated   int64 // fell back: every holder at MaxUploads
+
+	// DigestPushes is always zero: the tracker no longer pushes
+	// location deltas to the cohort (Locate queries it instead).
+	//
+	// Deprecated: nothing increments it; stop reading it.
+	DigestPushes int64
 
 	// TierHits breaks PeerHits down by the locality tier between the
 	// requester and the chosen uploader (indexed by cluster.Tier).
@@ -88,63 +86,39 @@ func (r *Registry) peerAlive(n cluster.NodeID) bool {
 // NodeChanged is the cluster liveness hook: wire it with
 // Liveness.OnChange. A death retracts every location record the dead
 // member held across all cohorts — the tracker must never steer a
-// reader to a dead uploader — and pushes the withdrawal to the
-// members along the control tree. A revival needs no tracker action:
-// the records are already gone, and the peer re-announces whatever it
-// still mirrors on its next fetches (the (member, chunk) dedup pairs
-// were cleared with the records).
-func (r *Registry) NodeChanged(ctx *cluster.Ctx, node cluster.NodeID, alive bool) {
+// reader to a dead uploader. The drop is tracker-local and costs no
+// traffic: members hold no location state of their own, and their next
+// Locate reads the tracker's updated map. A revival needs no tracker
+// action: the records are already gone, and the peer re-announces
+// whatever it still mirrors on its next fetches (the (member, chunk)
+// dedup pairs were cleared with the records).
+func (r *Registry) NodeChanged(_ *cluster.Ctx, node cluster.NodeID, alive bool) {
 	if alive {
 		return
 	}
+	for _, co := range r.allCohorts() {
+		co.mu.Lock()
+		for pair := range co.held {
+			if pair.node == node {
+				delete(co.held, pair)
+				co.holders[pair.key] = removeNode(co.holders[pair.key], node)
+				co.stats.DeadDropped++
+			}
+		}
+		co.mu.Unlock()
+	}
+}
+
+// allCohorts snapshots the registered cohorts, so per-cohort work runs
+// without holding the registry lock.
+func (r *Registry) allCohorts() []*Cohort {
 	r.mu.RLock()
+	defer r.mu.RUnlock()
 	cohorts := make([]*Cohort, 0, len(r.cohorts))
 	for _, co := range r.cohorts {
 		cohorts = append(cohorts, co)
 	}
-	r.mu.RUnlock()
-	// The per-cohort retraction broadcasts charge RPCs, so their order
-	// must not come from map iteration (determinism convention).
-	sort.Slice(cohorts, func(i, j int) bool { return cohorts[i].image < cohorts[j].image })
-	for _, co := range cohorts {
-		co.dropDeadMember(ctx, node)
-	}
-}
-
-// dropDeadMember withdraws every location record node holds in the
-// cohort and informs the surviving members.
-func (co *Cohort) dropDeadMember(ctx *cluster.Ctx, node cluster.NodeID) {
-	co.mu.Lock()
-	dropped := 0
-	for pair := range co.held {
-		if pair.node != node {
-			continue
-		}
-		delete(co.held, pair)
-		co.holders[pair.key] = removeNode(co.holders[pair.key], node)
-		co.digest[pair.key] = removeNode(co.digest[pair.key], node)
-		dropped++
-	}
-	for i := 0; i < len(co.pending); {
-		if co.pending[i].node == node {
-			co.pending = append(co.pending[:i], co.pending[i+1:]...)
-		} else {
-			i++
-		}
-	}
-	co.stats.DeadDropped += int64(dropped)
-	var targets []cluster.NodeID
-	if dropped > 0 {
-		for _, m := range co.order {
-			if m != node && co.reg.peerAlive(m) {
-				targets = append(targets, m)
-			}
-		}
-	}
-	co.mu.Unlock()
-	if dropped > 0 {
-		co.reg.fromTracker(ctx, targets, int64(dropped)*co.reg.cfg.AnnounceBytes)
-	}
+	return cohorts
 }
 
 // NewRegistry creates a registry hosted on the tracker node.
@@ -155,17 +129,16 @@ func NewRegistry(tracker cluster.NodeID, cfg Config) *Registry {
 // Tracker returns the node hosting the registry.
 func (r *Registry) Tracker() cluster.NodeID { return r.tracker }
 
-// Register creates (or extends) the cohort for an image and
-// disseminates the membership to all members along the broadcast tree.
-// It is how the middleware's orchestrator enrolls a deployment: every
-// node about to provision the image becomes a potential chunk source
-// for its siblings. Register is idempotent per member. Membership is
-// established at the tracker synchronously (Register is the tracker
-// operation); the broadcast charges the cost of informing the members,
-// and callers must not let members use the cohort before Register
-// returns — the orchestrator guarantees this by registering in
-// Prepare, before any instance is provisioned.
-func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.NodeID) *Cohort {
+// Register creates (or extends) the cohort for an image. It is how
+// the middleware's orchestrator enrolls a deployment: every node about
+// to provision the image becomes a potential chunk source for its
+// siblings. Register is idempotent per member and tracker-local — it
+// moves no bytes, because members learn holders by querying the tracker
+// on Locate rather than from a pushed membership list. Callers must not
+// let members use the cohort before Register returns; the orchestrator
+// guarantees this by registering in Prepare, before any instance is
+// provisioned.
+func (r *Registry) Register(_ *cluster.Ctx, image blob.ID, members []cluster.NodeID) *Cohort {
 	r.mu.Lock()
 	co, ok := r.cohorts[image]
 	if !ok {
@@ -175,7 +148,6 @@ func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.N
 			members: make(map[cluster.NodeID]bool),
 			holders: make(map[blob.ChunkKey][]cluster.NodeID),
 			held:    make(map[holderPair]bool),
-			digest:  make(map[blob.ChunkKey][]cluster.NodeID),
 			uploads: make(map[cluster.NodeID]int),
 		}
 		r.cohorts[image] = co
@@ -183,21 +155,13 @@ func (r *Registry) Register(ctx *cluster.Ctx, image blob.ID, members []cluster.N
 	r.mu.Unlock()
 
 	co.mu.Lock()
-	added := 0
 	for _, m := range members {
 		if m != r.tracker && !co.members[m] {
 			co.members[m] = true
 			co.order = append(co.order, m)
-			added++
 		}
 	}
-	targets := append([]cluster.NodeID(nil), co.order...)
 	co.mu.Unlock()
-
-	if added > 0 {
-		// Membership rides the binomial control tree from the tracker.
-		r.fromTracker(ctx, targets, int64(added)*r.cfg.AnnounceBytes)
-	}
 	return co
 }
 
@@ -212,78 +176,31 @@ func (r *Registry) Cohort(image blob.ID) *Cohort {
 // collector reports the chunk keys it released, and the tracker drops
 // every location record for them across all cohorts — a reclaimed
 // chunk must not be offered to siblings anymore. The drop is
-// tracker-local (the registry state lives on the tracker node); each
-// affected cohort's members are informed along the control broadcast
-// tree so their digests converge. A Locate in flight during the drop
-// can still steer a reader to a stale holder; the reader's provider
-// fall-back (blob.Client.getChunk) absorbs exactly that race.
-func (r *Registry) ChunksReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
-	r.mu.RLock()
-	cohorts := make([]*Cohort, 0, len(r.cohorts))
-	for _, co := range r.cohorts {
-		cohorts = append(cohorts, co)
-	}
-	r.mu.RUnlock()
-	for _, co := range cohorts {
-		co.dropReclaimed(ctx, keys)
-	}
-}
-
-// dropReclaimed removes every location record of the given keys from
-// the cohort and pushes the withdrawal to the members.
-func (co *Cohort) dropReclaimed(ctx *cluster.Ctx, keys []blob.ChunkKey) {
-	co.mu.Lock()
-	dropped := 0
-	for _, key := range keys {
-		any := len(co.holders[key]) > 0 || len(co.digest[key]) > 0
-		// Clearing held pairs for every member also cancels phase-1
-		// announce reservations still in flight: their phase 2 finds
-		// the pair gone and leaves the freed chunk unpublished.
-		for m := range co.members {
-			if pair := (holderPair{m, key}); co.held[pair] {
-				delete(co.held, pair)
-				any = true
+// tracker-local and costs no traffic (see NodeChanged). A Locate in
+// flight during the drop can still steer a reader to a stale holder;
+// the reader's provider fall-back (blob.Client.getChunk) absorbs
+// exactly that race.
+func (r *Registry) ChunksReclaimed(_ *cluster.Ctx, keys []blob.ChunkKey) {
+	for _, co := range r.allCohorts() {
+		co.mu.Lock()
+		for _, key := range keys {
+			any := len(co.holders[key]) > 0
+			// Clearing held pairs for every member also cancels phase-1
+			// announce reservations still in flight: their phase 2 finds
+			// the pair gone and leaves the freed chunk unpublished.
+			for m := range co.members {
+				if pair := (holderPair{m, key}); co.held[pair] {
+					delete(co.held, pair)
+					any = true
+				}
+			}
+			if any {
+				delete(co.holders, key)
+				co.stats.Reclaimed++
 			}
 		}
-		if !any {
-			continue
-		}
-		delete(co.holders, key)
-		delete(co.digest, key)
-		for i := 0; i < len(co.pending); {
-			if co.pending[i].key == key {
-				co.pending = append(co.pending[:i], co.pending[i+1:]...)
-			} else {
-				i++
-			}
-		}
-		co.stats.Reclaimed++
-		dropped++
+		co.mu.Unlock()
 	}
-	var targets []cluster.NodeID
-	if dropped > 0 {
-		targets = append(targets, co.order...)
-	}
-	co.mu.Unlock()
-	if dropped > 0 {
-		co.reg.fromTracker(ctx, targets, int64(dropped)*co.reg.cfg.AnnounceBytes)
-	}
-}
-
-// fromTracker runs a control broadcast rooted at the tracker node,
-// spawning onto it first when the calling activity lives elsewhere.
-func (r *Registry) fromTracker(ctx *cluster.Ctx, targets []cluster.NodeID, bytes int64) {
-	if len(targets) == 0 || bytes <= 0 {
-		return
-	}
-	if ctx.Node() == r.tracker {
-		broadcast.Control(ctx, r.tracker, targets, bytes)
-		return
-	}
-	t := ctx.Go("p2p-control", r.tracker, func(cc *cluster.Ctx) {
-		broadcast.Control(cc, r.tracker, targets, bytes)
-	})
-	ctx.Wait(t)
 }
 
 // holderPair identifies one (member, chunk) location record.
@@ -304,8 +221,6 @@ type Cohort struct {
 	order   []cluster.NodeID // deterministic member iteration
 	holders map[blob.ChunkKey][]cluster.NodeID
 	held    map[holderPair]bool
-	digest  map[blob.ChunkKey][]cluster.NodeID // as of the last push
-	pending []holderPair                       // announced since then
 	uploads map[cluster.NodeID]int
 	stats   Stats
 }
@@ -335,8 +250,7 @@ func (co *Cohort) Stats() Stats {
 // all-duplicate announcement costs nothing. The new locations become
 // visible to Locate only after the RPC completes: a sibling cannot be
 // steered to a holder before the announcement could physically have
-// reached the tracker. Crossing the digest threshold triggers an
-// asynchronous location-delta broadcast.
+// reached the tracker.
 func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	member := ctx.Node()
 	if !co.reg.peerAlive(member) {
@@ -373,47 +287,14 @@ func (co *Cohort) Announce(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 	// locations. A pair retracted while the RPC was in flight (held
 	// entry gone again) stays unpublished.
 	co.mu.Lock()
-	digests := co.reg.cfg.DigestEvery > 0
 	for _, pair := range fresh {
 		if !co.held[pair] {
 			continue
 		}
 		co.holders[pair.key] = append(co.holders[pair.key], pair.node)
-		// pending feeds the digest broadcast; with digests disabled it
-		// would only accumulate, so don't collect it at all.
-		if digests {
-			co.pending = append(co.pending, pair)
-		}
 		co.stats.Announced++
 	}
-	var delta []holderPair
-	var pushTargets []cluster.NodeID
-	if digests && len(co.pending) >= co.reg.cfg.DigestEvery {
-		delta = co.pending
-		co.pending = nil
-		pushTargets = append(pushTargets, co.order...)
-		co.stats.DigestPushes++
-	}
 	co.mu.Unlock()
-
-	if len(delta) > 0 {
-		// The delta rides the broadcast tree in the background; the
-		// announcer does not wait for the fan-out, and members' local
-		// digests only incorporate it once the broadcast has delivered
-		// it (pairs retracted in the meantime are dropped).
-		reg := co.reg
-		pushBytes := int64(len(delta)) * reg.cfg.AnnounceBytes
-		ctx.Go("p2p-digest", reg.tracker, func(cc *cluster.Ctx) {
-			broadcast.Control(cc, reg.tracker, pushTargets, pushBytes)
-			co.mu.Lock()
-			for _, pair := range delta {
-				if co.held[pair] && !containsNode(co.digest[pair.key], pair.node) {
-					co.digest[pair.key] = append(co.digest[pair.key], pair.node)
-				}
-			}
-			co.mu.Unlock()
-		})
-	}
 }
 
 // Retract implements blob.ChunkSharer: ctx.Node() withdraws itself as
@@ -430,13 +311,6 @@ func (co *Cohort) Retract(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 		}
 		delete(co.held, pair)
 		co.holders[key] = removeNode(co.holders[key], member)
-		co.digest[key] = removeNode(co.digest[key], member)
-		for i, p := range co.pending {
-			if p == pair {
-				co.pending = append(co.pending[:i], co.pending[i+1:]...)
-				break
-			}
-		}
 		co.stats.Retracted++
 		dropped++
 	}
@@ -448,26 +322,22 @@ func (co *Cohort) Retract(ctx *cluster.Ctx, keys []blob.ChunkKey) {
 
 // Locate implements blob.ChunkSharer: it returns the least-loaded
 // cohort peer holding the chunk, reserving one of its upload slots.
-// The local digest is consulted first at zero cost; a digest miss pays
-// one small RPC to query the tracker's live map. ok=false sends the
-// caller to the providers (nobody has the chunk, or every holder is
-// at its upload cap).
+// Every call pays one small RPC to query the tracker's live map, the
+// way a BitTorrent tracker returns a peer list: members keep no
+// location state, so nothing has to be pushed to them. ok=false sends
+// the caller to the providers (nobody has the chunk, or every holder
+// is at its upload cap).
 func (co *Cohort) Locate(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, func(), bool) {
 	req := ctx.Node()
 	co.mu.Lock()
-	if !co.members[req] {
-		co.mu.Unlock()
+	member := co.members[req]
+	co.mu.Unlock()
+	if !member {
 		return 0, nil, false
 	}
-	peer, any, found := co.pickLocked(co.digest[key], req)
-	if found {
-		co.stats.DigestHits++
-	} else {
-		co.mu.Unlock()
-		ctx.RPC(co.reg.tracker, 32, 32)
-		co.mu.Lock()
-		peer, any, found = co.pickLocked(co.holders[key], req)
-	}
+	ctx.RPC(co.reg.tracker, 32, 32)
+	co.mu.Lock()
+	peer, any, found := co.pickLocked(co.holders[key], req)
 	if !found {
 		if any {
 			co.stats.Saturated++
@@ -495,7 +365,7 @@ func (co *Cohort) Locate(ctx *cluster.Ctx, key blob.ChunkKey) (cluster.NodeID, f
 // the load comparison only breaks ties within a tier; without one,
 // every holder is the same tier and the pick is the historical pure
 // least-loaded choice. Holders the liveness registry reports dead are
-// never eligible — the record drop of dropDeadMember and this check
+// never eligible — the record drop of NodeChanged and this check
 // together guarantee a dead uploader is never selected, even in the
 // window before the drop ran. any reports whether a non-self holder
 // existed at all, so the caller can distinguish miss from saturation.
@@ -527,10 +397,6 @@ func (co *Cohort) pickLocked(holders []cluster.NodeID, req cluster.NodeID) (best
 		}
 	}
 	return best, any, found
-}
-
-func containsNode(nodes []cluster.NodeID, n cluster.NodeID) bool {
-	return slices.Contains(nodes, n)
 }
 
 // removeNode deletes the first occurrence of n, in place.

@@ -212,9 +212,9 @@ func TestRegisterIsIdempotentAndIncremental(t *testing.T) {
 }
 
 // TestCohortRegistryRace hammers one cohort from many concurrent
-// activities on the live fabric — announce, locate, retract and stats
-// all interleaving — so `go test -race` exercises the registry's
-// locking.
+// activities on the live fabric — announce, locate, retract, GC
+// reclaim and stats all interleaving — so `go test -race` exercises
+// the registry's locking.
 func TestCohortRegistryRace(t *testing.T) {
 	const members = 8
 	fab := cluster.NewLive(members + 1)
@@ -222,14 +222,19 @@ func TestCohortRegistryRace(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = cluster.NodeID(i)
 	}
-	cfg := DefaultConfig()
-	cfg.DigestEvery = 4 // force frequent digest pushes
-	reg := NewRegistry(members, cfg)
+	reg := NewRegistry(members, DefaultConfig())
 	var co *Cohort
 	fab.Run(func(ctx *cluster.Ctx) { co = reg.Register(ctx, 1, nodes) })
 
 	var wg sync.WaitGroup
 	fab.Run(func(ctx *cluster.Ctx) {
+		wg.Add(1)
+		ctx.Go("gc", members, func(cc *cluster.Ctx) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				reg.ChunksReclaimed(cc, []blob.ChunkKey{blob.ChunkKey(i%17 + 1)})
+			}
+		})
 		for n := 0; n < members; n++ {
 			n := n
 			wg.Add(1)
@@ -257,4 +262,74 @@ func TestCohortRegistryRace(t *testing.T) {
 	if st.Announced == 0 || st.PeerHits == 0 {
 		t.Errorf("race test did no work: %+v", st)
 	}
+}
+
+// TestTrackerPullTraffic pins the sharing control plane's cost on the
+// sim fabric. Registration, a member's death and a GC reclaim are
+// tracker-local and move no bytes; an announcement is locatable by the
+// very next Locate, with nothing pushed to the members; and every
+// Locate, hit or miss, moves exactly one 32+32-byte tracker RPC.
+func TestTrackerPullTraffic(t *testing.T) {
+	const nMembers = 16
+	fab := cluster.NewSim(cluster.DefaultConfig(nMembers + 1))
+	tracker := cluster.NodeID(nMembers)
+	members := make([]cluster.NodeID, nMembers)
+	for i := range members {
+		members[i] = cluster.NodeID(i)
+	}
+	reg := NewRegistry(tracker, DefaultConfig())
+	lv := cluster.NewLiveness(nMembers + 1)
+	reg.SetLiveness(lv)
+	lv.OnChange(reg.NodeChanged)
+	const locateBytes = 32 + 32
+
+	fab.Run(func(ctx *cluster.Ctx) {
+		co := reg.Register(ctx, 1, members)
+		if tr, now := fab.NetTraffic(), fab.Now(); tr != 0 || now != 0 {
+			t.Fatalf("Register moved %d bytes over %.6fs, want nothing", tr, now)
+		}
+		announce := func(m cluster.NodeID, keys ...blob.ChunkKey) {
+			ctx.Wait(ctx.Go("announce", m, func(cc *cluster.Ctx) { co.Announce(cc, keys) }))
+		}
+		announce(members[0], 7, 8)
+		announce(members[2], 8)
+		want := int64(3*DefaultConfig().AnnounceBytes + 2*16)
+		if tr := fab.NetTraffic(); tr != want {
+			t.Fatalf("announces moved %d bytes, want %d (two tracker RPCs)", tr, want)
+		}
+
+		// locate runs one Locate from member 1 and checks it cost one
+		// tracker RPC and found the wanted holder (ok=false: a miss).
+		locate := func(key blob.ChunkKey, wantPeer cluster.NodeID, wantOK bool) {
+			before := fab.NetTraffic()
+			ctx.Wait(ctx.Go("locate", members[1], func(cc *cluster.Ctx) {
+				peer, release, ok := co.Locate(cc, key)
+				if ok {
+					release()
+				}
+				if ok != wantOK || (ok && peer != wantPeer) {
+					t.Errorf("Locate(%d) = (%d, %v), want (%d, %v)", key, peer, ok, wantPeer, wantOK)
+				}
+			}))
+			if got := fab.NetTraffic() - before; got != locateBytes {
+				t.Errorf("Locate(%d) moved %d bytes, want one %d-byte tracker RPC", key, got, locateBytes)
+			}
+		}
+		locate(7, members[0], true)
+		locate(99, 0, false)
+
+		before := fab.NetTraffic()
+		lv.Kill(ctx, members[0])
+		reg.ChunksReclaimed(ctx, []blob.ChunkKey{8})
+		if got := fab.NetTraffic() - before; got != 0 {
+			t.Fatalf("member death and GC reclaim moved %d bytes, want 0", got)
+		}
+		locate(7, 0, false) // its only holder died
+		locate(8, 0, false) // reclaimed
+
+		st := co.Stats()
+		if st.DeadDropped != 2 || st.Reclaimed != 1 || st.PeerHits != 1 || st.Misses != 3 || st.DigestPushes != 0 {
+			t.Errorf("stats = %+v, want 2 dead-dropped, 1 reclaimed, 1 hit, 3 misses, no pushes", st)
+		}
+	})
 }

@@ -216,9 +216,9 @@ func (pool *PSPool) Use(p *Proc, amount float64) {
 
 // UseAsync services `amount` units of work and runs done (as a
 // zero-delay event) when they complete, without occupying a process.
-// This is the GoLite-compatible form of Use: the callback fires at
-// exactly the virtual time — and event position — at which a blocked
-// Use call would have been resumed.
+// This is the callback form of Use for event-driven code (see Env.At):
+// it fires at exactly the virtual time — and event position — at which
+// a blocked Use call would have been resumed.
 func (pool *PSPool) UseAsync(amount float64, done func()) {
 	if amount <= 0 {
 		pool.env.At(pool.env.now, done)

@@ -501,22 +501,18 @@ func (r *Repo) Share(ctx *Ctx, image ImageID, nodes []NodeID) bool {
 	if r.sharing == nil {
 		return false
 	}
-	// Claim the repo's cohort slot before the registration RPCs run
-	// (the lock must not be held across fabric operations). Re-Shares
-	// of the claimed image register again: the tracker merges the new
-	// members into the cohort, so a later deployment wave of the same
-	// image joins rather than hammering the providers.
+	// Re-Shares of the claimed image register again: the tracker merges
+	// the new members into the cohort, so a later deployment wave of
+	// the same image joins rather than hammering the providers.
+	// Registration is tracker-local (no fabric operation), so it may run
+	// under the lock.
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.shareImage != 0 && r.shareImage != image {
-		r.mu.Unlock()
 		return false
 	}
 	r.shareImage = image
-	r.mu.Unlock()
-	co := r.sharing.Register(ctx, image, nodes)
-	r.mu.Lock()
-	r.cohort = co
-	r.mu.Unlock()
+	r.cohort = r.sharing.Register(ctx, image, nodes)
 	return true
 }
 
