@@ -204,9 +204,8 @@ func BenchmarkFlashCrowdScale(b *testing.B) {
 }
 
 // BenchmarkFlashCrowd10k is the paper-scale ×100 point: a 10k-instance
-// flash crowd against the same 8-provider pool. Skipped under -short
-// (CI runs the quick scale points; run the full sweep locally via
-// scripts/bench.sh).
+// flash crowd against the same 8-provider pool. scripts/bench.sh runs
+// it once at -cpu 1; it is skipped under -short.
 func BenchmarkFlashCrowd10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("skipping 10k flash crowd in -short mode")

@@ -88,6 +88,7 @@ func TestCrowdStepsPerInstanceFlat(t *testing.T) {
 		return float64(pt.Steps) / float64(n)
 	}
 	small, large := perInstance(64), perInstance(256)
+	t.Logf("sim steps per instance: %.0f at 64, %.0f at 256", small, large)
 	if ratio := large / small; ratio < 1/1.05 || ratio > 1.05 {
 		t.Errorf("sim steps per instance: %.0f at 64, %.0f at 256 (ratio %.3f), want within 5%%",
 			small, large, ratio)

@@ -20,16 +20,18 @@
 //   - Members announce freshly mirrored chunks with one small RPC to
 //     the tracker. Announcements are deduplicated per (member, chunk),
 //     so a chunk fetched twice concurrently is only recorded once.
-//   - Every Config.DigestEvery fresh announcements the tracker pushes
-//     the accumulated location delta to all members along the binomial
-//     tree of the broadcast package (Control). Lookups that hit the
-//     local digest cost nothing; only digest misses pay a tracker RPC.
-//   - Locate picks the least-loaded holder (all nodes are equidistant
-//     behind the non-blocking switch, so "nearest" degenerates to
-//     least-loaded) and reserves one of its Config.MaxUploads upload
-//     slots. If every holder is saturated the caller falls back to the
-//     providers — hot peers shed load instead of becoming the new
-//     hot-spot.
+//   - Locate asks the tracker, with one small RPC, for the chunk's
+//     live holders — the way a BitTorrent tracker returns a peer list —
+//     and picks the nearest one, load breaking ties within a locality
+//     tier (on a flat cluster every holder is equidistant, so the pick
+//     is the least-loaded), reserving one of its Config.MaxUploads
+//     upload slots. If every holder is saturated the caller falls back
+//     to the providers — hot peers shed load instead of becoming the
+//     new hot-spot.
+//   - Members keep no location state, so nothing is ever pushed to
+//     them: registration, a member's death and a GC reclaim only
+//     change the tracker's map, and the control plane costs O(1)
+//     messages per announcement or lookup whatever the cohort size.
 //   - A member whose local copy diverges from the published content
 //     (a mirrored chunk dirtied by a guest write) retracts itself.
 //

@@ -21,10 +21,6 @@
 # BENCH_scale.json — instances vs ns/op and allocs/op across
 # 256/1k/10k, the curve that shows the simulator itself scales.
 #
-# BENCH_SHORT=1 adds -short to the run: BenchmarkFlashCrowd10k skips
-# itself, so CI charts the quick scale points (256/1k) while a local
-# run produces the full sweep including the 10k point.
-#
 # Usage: scripts/bench.sh [output-file]
 set -eu
 
@@ -35,13 +31,9 @@ go test -run '^$' \
   -benchmem -count=1 -cpu 1,8 -timeout 30m . | tee "$out"
 
 # The 10k point runs in its own invocation, once and at -cpu 1: the
-# simulation is deterministic, so the -cpu 8 rerun of the main sweep
-# adds nothing here and would double a ~20-minute benchmark.
-# BENCH_SHORT=1 (CI) skips it; the scale trajectory then carries the
-# quick points only.
-if [ "${BENCH_SHORT:-0}" != "1" ]; then
-  go test -run '^$' -bench 'BenchmarkFlashCrowd10k' \
-    -benchmem -count=1 -cpu 1 -timeout 120m . | tee -a "$out"
-fi
+# simulation is deterministic, so a -cpu 8 rerun would only repeat the
+# same work.
+go test -run '^$' -bench 'BenchmarkFlashCrowd10k' \
+  -benchmem -count=1 -cpu 1 -timeout 10m . | tee -a "$out"
 
 go run ./cmd/benchjson -in "$out"
