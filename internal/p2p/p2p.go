@@ -132,12 +132,11 @@ func (r *Registry) Tracker() cluster.NodeID { return r.tracker }
 // Register creates (or extends) the cohort for an image. It is how
 // the middleware's orchestrator enrolls a deployment: every node about
 // to provision the image becomes a potential chunk source for its
-// siblings. Register is idempotent per member and tracker-local — it
-// moves no bytes, because members learn holders by querying the tracker
-// on Locate rather than from a pushed membership list. Callers must not
-// let members use the cohort before Register returns; the orchestrator
-// guarantees this by registering in Prepare, before any instance is
-// provisioned.
+// siblings. Register is idempotent per member and tracker-local: it
+// moves no bytes, since members learn holders from the tracker on
+// Locate. Callers must not let members use the cohort before Register
+// returns; the orchestrator guarantees this by registering in Prepare,
+// before any instance is provisioned.
 func (r *Registry) Register(_ *cluster.Ctx, image blob.ID, members []cluster.NodeID) *Cohort {
 	r.mu.Lock()
 	co, ok := r.cohorts[image]
