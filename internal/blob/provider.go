@@ -88,18 +88,13 @@ func NewProviderSet(nodes []cluster.NodeID, replicas int) *ProviderSet {
 // EnableDedup turns on content deduplication for subsequent writes.
 func (ps *ProviderSet) EnableDedup() { ps.dedup = true }
 
-// fingerprint derives a content identity for a payload: an FNV-1a
-// hash of real bytes, or the (size, tag) pair for synthetic payloads.
-// Tag 0 synthetic payloads are never deduplicated (no identity).
+// fingerprint derives a content identity for a payload: the
+// ContentHash of real bytes, or the (size, tag) pair for synthetic
+// payloads. Tag 0 synthetic payloads are never deduplicated (no
+// identity).
 func fingerprint(p Payload) (uint64, bool) {
 	if p.Real() {
-		const offset64, prime64 = 14695981039346656037, 1099511628211
-		h := uint64(offset64)
-		for _, b := range p.Data {
-			h ^= uint64(b)
-			h *= prime64
-		}
-		return h, true
+		return ContentHash(p.Data), true
 	}
 	if p.Tag == 0 {
 		return 0, false
@@ -176,6 +171,12 @@ func (ps *ProviderSet) NodePutRPCs() map[cluster.NodeID]int64 {
 type ChunkPut struct {
 	Key     ChunkKey
 	Payload Payload
+	// Print, when nonzero, is ContentHash(Payload.Data) computed and
+	// verified by the caller: under deduplication PutBatch takes it as
+	// the fingerprint of a real payload instead of hashing the bytes
+	// again. Zero (or a synthetic payload) leaves fingerprinting to
+	// PutBatch.
+	Print uint64
 }
 
 // PutBatch stores a whole commit round of chunks. Each key goes to
@@ -323,20 +324,26 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 }
 
 // fingerprintBatch computes the content fingerprint of every payload
-// of a batch (ok[i] false for a payload with no identity). Hashing real
-// bytes is the costly part of a deduplicated round, so a batch carrying
-// real bytes fans out over GOMAXPROCS goroutines, each hashing one
-// contiguous slice; synthetic payloads fingerprint from their tag and
-// stay serial.
+// of a batch (ok[i] false for a payload with no identity), taking a
+// real payload's precomputed Print when it carries one. Hashing real
+// bytes is the costly part of a deduplicated round, so a batch with
+// real bytes left to hash fans out over GOMAXPROCS goroutines, each
+// hashing one contiguous slice; synthetic payloads fingerprint from
+// their tag and stay serial.
 func fingerprintBatch(puts []ChunkPut) (fps []uint64, ok []bool) {
 	fps, ok = make([]uint64, len(puts)), make([]bool, len(puts))
+	unhashed := func(pt ChunkPut) bool { return pt.Payload.Real() && pt.Print == 0 }
 	hash := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			fps[i], ok[i] = fingerprint(puts[i].Payload)
+			if pt := puts[i]; pt.Print != 0 && pt.Payload.Real() {
+				fps[i], ok[i] = pt.Print, true
+			} else {
+				fps[i], ok[i] = fingerprint(pt.Payload)
+			}
 		}
 	}
 	workers := min(runtime.GOMAXPROCS(0), len(puts))
-	if workers < 2 || !slices.ContainsFunc(puts, func(pt ChunkPut) bool { return pt.Payload.Real() }) {
+	if workers < 2 || !slices.ContainsFunc(puts, unhashed) {
 		hash(0, len(puts))
 		return fps, ok
 	}
@@ -397,6 +404,21 @@ func (ps *ProviderSet) Peek(key ChunkKey) (Payload, bool) {
 	}
 	p, ok := ps.chunks[key]
 	return p, ok
+}
+
+// StoredPrint returns the dedup fingerprint stored for key's content
+// (resolving dedup aliases) when that content is real — ContentHash of
+// its bytes — without charging any provider cost: the fingerprint sits
+// in the index next to the payload. It reports false for synthetic
+// content and for content stored with deduplication off.
+func (ps *ProviderSet) StoredPrint(key ChunkKey) (uint64, bool) {
+	ps.mu.RLock()
+	defer ps.mu.RUnlock()
+	if canon, ok := ps.aliases[key]; ok {
+		key = canon
+	}
+	fp, ok := ps.printOf[key]
+	return fp, ok && ps.chunks[key].Real()
 }
 
 // MaxNodeReads returns the chunk reads served by the busiest provider.

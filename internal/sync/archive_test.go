@@ -3,22 +3,26 @@ package sync
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
+	"math/rand/v2"
 	"reflect"
 	"testing"
+	"time"
 
 	"blobvfs/internal/blob"
+	"blobvfs/internal/cluster"
 )
 
 // encodeArchive serializes an archive the way Export does, for codec
 // tests that need the bytes without a fabric.
 func encodeArchive(a *Archive) []byte {
 	var buf bytes.Buffer
-	aw := newArchiveWriter(&buf)
-	aw.writeHeader(a.Header)
-	aw.writeSection(sectionVersions, encodeVersions(a.Versions))
-	aw.writeSection(sectionNodes, encodeNodes(a.Nodes))
-	aw.writeSection(sectionChunks, encodeChunks(a.Chunks))
-	if _, err := aw.finish(); err != nil {
+	enc := newEncoder(&buf)
+	enc.header(a.Header)
+	enc.versions(a.Versions)
+	enc.nodes(a.Nodes)
+	enc.chunks(a.Chunks)
+	if _, err := enc.finish(); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -95,6 +99,123 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	raw = append(raw, 0xEE)
 	if _, err := DecodeArchive(bytes.NewReader(raw)); !errors.Is(err, ErrArchiveCorrupt) {
 		t.Fatalf("err = %v, want ErrArchiveCorrupt", err)
+	}
+}
+
+// endless serves prefix and then an unending run of filler bytes,
+// counting what it served. Past 64 MiB it fails instead, so a decoder
+// that buffers its whole input errors out before it can exhaust the
+// test's memory; the test then fails on the bytes read.
+type endless struct {
+	prefix []byte
+	served int64
+}
+
+func (e *endless) Read(p []byte) (int, error) {
+	if e.served > 64<<20 {
+		return 0, errors.New("endless stream: reader gave up")
+	}
+	n := 0
+	if e.served < int64(len(e.prefix)) {
+		n = copy(p, e.prefix[e.served:])
+	}
+	for i := n; i < len(p); i++ {
+		p[i] = 0xEE
+	}
+	e.served += int64(len(p))
+	return len(p), nil
+}
+
+// TestDecodeBoundedOnEndlessStream: an endless stream after a valid
+// header, or after a whole valid archive, fails as corrupt promptly,
+// having read little more than the valid prefix.
+func TestDecodeBoundedOnEndlessStream(t *testing.T) {
+	raw := encodeArchive(sampleArchive())
+	for name, prefix := range map[string][]byte{
+		"after header":  raw[:headerLen+sumLen],
+		"after trailer": raw,
+	} {
+		t.Run(name, func(t *testing.T) {
+			src := &endless{prefix: prefix}
+			done := make(chan error, 1)
+			go func() {
+				_, err := DecodeArchive(src)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrArchiveCorrupt) {
+					t.Fatalf("err = %v, want ErrArchiveCorrupt", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("DecodeArchive still reading an endless stream after 10s")
+			}
+			if limit := int64(len(prefix)) + 1<<20; src.served > limit {
+				t.Fatalf("decoder read %d bytes of an endless stream, want at most %d", src.served, limit)
+			}
+		})
+	}
+}
+
+// TestFusedFoldsMatchFNV: fold2 and fold3 continue each state exactly
+// as hash/fnv's FNV-64a would.
+func TestFusedFoldsMatchFNV(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, n := range []int{0, 1, 7, 4096, 100_003} {
+		prefix, data := make([]byte, 13), make([]byte, n)
+		for i := range prefix {
+			prefix[i] = byte(rng.Uint32())
+		}
+		for i := range data {
+			data[i] = byte(rng.Uint32())
+		}
+		ref := func(parts ...[]byte) uint64 {
+			h := fnv.New64a()
+			for _, p := range parts {
+				h.Write(p)
+			}
+			return h.Sum64()
+		}
+		mid := blob.ContentHash(prefix)
+		if mid != ref(prefix) {
+			t.Fatalf("ContentHash differs from hash/fnv")
+		}
+		a, b := fold2(mid, blob.FNVOffset64, data)
+		if a != ref(prefix, data) || b != ref(data) {
+			t.Fatalf("fold2 over %d bytes differs from hash/fnv", n)
+		}
+		a, b, c := fold3(blob.FNVOffset64, mid, blob.FNVOffset64, data)
+		if a != ref(data) || b != ref(prefix, data) || c != ref(data) {
+			t.Fatalf("fold3 over %d bytes differs from hash/fnv", n)
+		}
+	}
+}
+
+// TestPayloadDigestIsDedupFingerprint pins what digest reuse rests
+// on: a real payload's archive digest equals the fingerprint the
+// provider set's dedup index stores for it, also through an alias,
+// and synthetic content offers none.
+func TestPayloadDigestIsDedupFingerprint(t *testing.T) {
+	ps := blob.NewProviderSet([]cluster.NodeID{0, 1}, 1)
+	ps.EnableDedup()
+	real := blob.RealPayload([]byte("content both sides hash alike"))
+	cluster.NewLive(2).Run(func(ctx *cluster.Ctx) {
+		err := ps.PutBatch(ctx, []blob.ChunkPut{
+			{Key: 1, Payload: real},
+			{Key: 2, Payload: blob.RealPayload(bytes.Clone(real.Data))}, // an alias of key 1
+			{Key: 3, Payload: blob.SyntheticPayload(4096, 5)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, key := range []blob.ChunkKey{1, 2} {
+		if fp, ok := ps.StoredPrint(key); !ok || fp != payloadDigest(real) {
+			t.Fatalf("key %d: stored print %#x (%v), archive digest %#x", key, fp, ok, payloadDigest(real))
+		}
+	}
+	if _, ok := ps.StoredPrint(3); ok {
+		t.Fatal("synthetic content reported a real-content fingerprint")
 	}
 }
 

@@ -96,8 +96,8 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 		ImageSize:  info.Size,
 		Span:       info.Span,
 	}
-	aw := newArchiveWriter(w)
-	aw.writeHeader(h)
+	enc := newEncoder(w)
+	enc.header(h)
 
 	// Mark phase A: everything reachable from the base version is
 	// already on the importing side and must not ship.
@@ -167,8 +167,9 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 		stats.Versions++
 	}
 
-	aw.writeSection(sectionVersions, encodeVersions(versions))
-	aw.writeSection(sectionNodes, encodeNodes(nodes))
+	enc.versions(versions)
+	enc.nodes(nodes)
+	enc.flush()
 
 	// The chunk payloads are fetched only now, after the header and
 	// tree sections are on the wire — mid-stream, which is exactly the
@@ -179,12 +180,12 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 		if err != nil {
 			return ExportStats{}, fmt.Errorf("sync: export chunk %d: %w", key, err)
 		}
-		chunks = append(chunks, ChunkRecord{Key: key, Payload: p, Digest: payloadDigest(p)})
+		chunks = append(chunks, ChunkRecord{Key: key, Payload: p, Digest: chunkDigest(sys.Providers, key, p)})
 		stats.ChunkBytes += int64(p.Size)
 	}
-	aw.writeSection(sectionChunks, encodeChunks(chunks))
+	enc.chunks(chunks)
 
-	n, err := aw.finish()
+	n, err := enc.finish()
 	if err != nil {
 		return ExportStats{}, fmt.Errorf("sync: writing archive: %w", err)
 	}
@@ -198,6 +199,17 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 	stats.ArchiveBytes = n
 	t.commitExportSeq(id, seq)
 	return stats, nil
+}
+
+// chunkDigest is the archive digest of a shipped payload. Real content
+// stored under deduplication already has its fingerprint in the
+// provider set's index — ContentHash of the same bytes, which is the
+// digest — so only content without one is hashed here.
+func chunkDigest(ps *blob.ProviderSet, key blob.ChunkKey, p blob.Payload) uint64 {
+	if fp, ok := ps.StoredPrint(key); ok && p.Real() {
+		return fp
+	}
+	return payloadDigest(p)
 }
 
 // walkFrontier is the batched twin of blob.WalkReachable: a

@@ -173,6 +173,11 @@ func Import(ctx *cluster.Ctx, sys *blob.System, t *Tracker, src io.Reader) (Impo
 		puts := make([]blob.ChunkPut, len(a.Chunks))
 		for i, rec := range a.Chunks {
 			puts[i] = blob.ChunkPut{Key: keyMap[rec.Key], Payload: rec.Payload}
+			if rec.Payload.Real() {
+				// DecodeArchive verified the digest against the bytes,
+				// and a real payload's digest is its fingerprint.
+				puts[i].Print = rec.Digest
+			}
 		}
 		if err := sys.Providers.PutBatch(ctx, puts); err != nil {
 			return ImportStats{}, fmt.Errorf("sync: storing chunks: %w", err)

@@ -292,6 +292,56 @@ func TestExportCloneSharedLineage(t *testing.T) {
 	})
 }
 
+// TestImportReusedDigestDedupsRightContent: the importer hands each
+// verified archive digest to the dedup index as the chunk's
+// fingerprint instead of hashing the bytes again. Shipped content the
+// downstream already holds (stored through its own upload, so
+// fingerprinted by hashing) must still dedup, new content must not,
+// and every version must read back the shipped bytes.
+func TestImportReusedDigestDedupsRightContent(t *testing.T) {
+	fab, up, down := twoRepos(t)
+	chunks := func(seeds ...byte) []byte {
+		var b []byte
+		for _, s := range seeds {
+			b = append(b, img(syncChunk, s)...)
+		}
+		return b
+	}
+	fab.Run(func(ctx *blobvfs.Ctx) {
+		if _, err := down.Create(ctx, "", chunks(50, 51)); err != nil {
+			t.Fatal(err)
+		}
+		storedBefore := down.System().Providers.StoredBytes()
+
+		want := chunks(50, 60, 61, 50)
+		ref, err := up.Create(ctx, "", want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := up.Export(ctx, &buf, ref.Image, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		ist, err := down.Import(ctx, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ist.Chunks != 4 || ist.DedupedChunks != 2 {
+			t.Fatalf("imported %d chunks, %d deduplicated; want 4, the 2 copies of held content", ist.Chunks, ist.DedupedChunks)
+		}
+		if grew := down.System().Providers.StoredBytes() - storedBefore; grew != 2*syncChunk {
+			t.Fatalf("downstream storage grew %d bytes, want %d (the 2 new chunks)", grew, 2*syncChunk)
+		}
+		got := make([]byte, len(want))
+		if err := down.Download(ctx, blobvfs.Snapshot{Image: ist.Image, Version: 1}, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("imported image differs from the shipped bytes")
+		}
+	})
+}
+
 // gateWriter runs fire exactly once, on the first Write — mid-export,
 // after the header hits the stream but before the chunk payloads are
 // fetched.
