@@ -49,10 +49,12 @@ staticcheck:
 		echo "staticcheck not installed; go install honnef.co/go/tools/cmd/staticcheck@latest"; exit 1; }
 	staticcheck ./...
 
-# bench records the perf trajectory: paper-scale figure regenerations
-# plus the metadata hot-path microbenchmarks, with -cpu 1,8 so lock
-# contention regressions show up. Output lands in bench.txt; compare
-# two runs with `benchstat old.txt new.txt`.
+# bench records the perf trajectory: paper-scale figure regenerations,
+# the metadata hot-path microbenchmarks and the live sync codec. The
+# live-fabric benchmarks run at -cpu 1,8 so lock contention regressions
+# show up; the deterministic simulation ones run once, at -cpu 1.
+# Output lands in bench.txt; compare two runs with
+# `benchstat old.txt new.txt`.
 bench:
 	sh scripts/bench.sh
 

@@ -35,7 +35,7 @@ type benchLine struct {
 // crossZone is the headline summary the topology work is judged by:
 // bytes that crossed a zone interconnect, flat policy vs aware, and
 // the reduction factor (cpu=1 rows; the simulation is deterministic,
-// so the cpu=8 rows carry identical values).
+// so scripts/bench.sh runs it at -cpu 1 only).
 type crossZone struct {
 	FlatBytes      float64 `json:"flat_bytes"`
 	AwareBytes     float64 `json:"aware_bytes"`
@@ -78,13 +78,17 @@ func multisnapshotSummary(benches map[string]benchLine) (*multisnapshot, error) 
 // subsystem: bytes an average delta round ships vs re-shipping the
 // full image, the reduction factor (gated at 5x by the benchmark
 // itself), and how many shipped chunks the importing side deduplicated
-// into storage it already had.
+// into storage it already had — plus the host cost of the live codec
+// (cpu=1 BenchmarkExportImportLive: archive MB/s and bytes allocated
+// per export/import round).
 type exportSummary struct {
 	DeltaBytes    float64 `json:"delta_bytes"`
 	FullBytes     float64 `json:"full_bytes"`
 	ReductionX    float64 `json:"reduction_x"`
 	ShippedChunks float64 `json:"shipped_chunks"`
 	DedupedChunks float64 `json:"deduped_chunks"`
+	LiveMBPerS    float64 `json:"live_mb_s"`
+	LiveBytesOp   float64 `json:"live_bytes_op"`
 }
 
 // scalePoint is one instance-count point of the flash-crowd scale
@@ -104,19 +108,23 @@ type scaleSummary struct {
 	Points []scalePoint `json:"points"`
 }
 
-// metaOutage is the headline summary of control-plane resilience:
-// flash-crowd completion with a healthy control plane vs one that lost
-// half its metadata providers plus a compute rack mid-run, the descents
-// the outage forced down the replica ring, the tree nodes the repair
-// sweep restored, and the failed descents (must be zero — the outage
-// costs time, never a lookup).
+// metaOutage is the headline summary of control-plane resilience,
+// over the benchmark's seeds: the paired per-seed completion delta of
+// a flash crowd that lost half its metadata providers plus a compute
+// rack mid-run against the same seed healthy (median, min and max),
+// the median completions of both arms, the median descents the outage
+// forced down the replica ring and tree nodes the repair sweep
+// restored. Failed descents have no field: the benchmark fails on any
+// (the outage costs time, never a lookup).
 type metaOutage struct {
-	HealthyCompletionS float64 `json:"healthy_completion_s"`
-	OutageCompletionS  float64 `json:"outage_completion_s"`
-	CompletionDeltaS   float64 `json:"completion_delta_s"`
-	MetaFailovers      float64 `json:"meta_failovers"`
-	MetaRereplicated   float64 `json:"meta_rereplicated"`
-	FailedDescents     float64 `json:"failed_descents"`
+	Seeds                    float64 `json:"seeds"`
+	CompletionDeltaMedianS   float64 `json:"completion_delta_median_s"`
+	CompletionDeltaMinS      float64 `json:"completion_delta_min_s"`
+	CompletionDeltaMaxS      float64 `json:"completion_delta_max_s"`
+	HealthyCompletionMedianS float64 `json:"healthy_completion_median_s"`
+	OutageCompletionMedianS  float64 `json:"outage_completion_median_s"`
+	MetaFailoversMedian      float64 `json:"meta_failovers_median"`
+	MetaRereplicatedMedian   float64 `json:"meta_rereplicated_median"`
 }
 
 // artifact is the document one family writes: its benchmark lines
@@ -164,15 +172,18 @@ var families = []family{
 			return err
 		},
 	},
-	// Flash-crowd completion healthy vs through a metadata outage, with
-	// the failover, re-replication and failed-descent counts.
+	// Flash-crowd completion healthy vs through a metadata outage over
+	// five seeds: the paired completion delta's median, min and max,
+	// with the median failover and re-replication counts.
 	{
 		name: "metaoutage", out: "BENCH_metaoutage.json",
 		prefixes:  []string{"BenchmarkFlashCrowdMetaOutage"},
 		summarize: metaOutageSummary,
 	},
 	// Differential sync: average delta vs full-image bytes, the
-	// reduction factor, and the shipped and deduplicated chunk counts.
+	// reduction factor, the shipped and deduplicated chunk counts, and
+	// the live codec's MB/s (the prefix keeps BenchmarkExportImportLive
+	// too).
 	{
 		name: "export", out: "BENCH_export.json",
 		prefixes:  []string{"BenchmarkExportImport"},
@@ -207,30 +218,39 @@ func crossZoneSummary(benches map[string]benchLine, doc *artifact) error {
 	return nil
 }
 
+// metaOutageSummary distills the cpu=1 BenchmarkFlashCrowdMetaOutage
+// line; the family fails without it rather than writing a file
+// without its summary.
 func metaOutageSummary(benches map[string]benchLine, doc *artifact) error {
-	healthy, okH := benches["BenchmarkFlashCrowdMetaOutage/healthy"]
-	hit, okO := benches["BenchmarkFlashCrowdMetaOutage/outage"]
-	if okH && okO {
-		doc.MetaOutage = &metaOutage{
-			HealthyCompletionS: healthy.Metrics["completion-s"],
-			OutageCompletionS:  hit.Metrics["completion-s"],
-			CompletionDeltaS:   hit.Metrics["completion-s"] - healthy.Metrics["completion-s"],
-			MetaFailovers:      hit.Metrics["meta-failovers"],
-			MetaRereplicated:   hit.Metrics["meta-re-replicated"],
-			FailedDescents:     hit.Metrics["failed-descents"],
-		}
+	bl, ok := benches["BenchmarkFlashCrowdMetaOutage"]
+	if !ok {
+		return fmt.Errorf("no BenchmarkFlashCrowdMetaOutage line (run it with -cpu 1)")
+	}
+	m := bl.Metrics
+	doc.MetaOutage = &metaOutage{
+		Seeds:                    m["seeds"],
+		CompletionDeltaMedianS:   m["completion-delta-median-s"],
+		CompletionDeltaMinS:      m["completion-delta-min-s"],
+		CompletionDeltaMaxS:      m["completion-delta-max-s"],
+		HealthyCompletionMedianS: m["healthy-completion-median-s"],
+		OutageCompletionMedianS:  m["outage-completion-median-s"],
+		MetaFailoversMedian:      m["meta-failovers-median"],
+		MetaRereplicatedMedian:   m["meta-re-replicated-median"],
 	}
 	return nil
 }
 
 func exportSummaryOf(benches map[string]benchLine, doc *artifact) error {
 	if exp, ok := benches["BenchmarkExportImport"]; ok {
+		live := benches["BenchmarkExportImportLive"]
 		doc.Export = &exportSummary{
 			DeltaBytes:    exp.Metrics["delta-MB"] * 1e6,
 			FullBytes:     exp.Metrics["full-MB"] * 1e6,
 			ReductionX:    exp.Metrics["reduction-x"],
 			ShippedChunks: exp.Metrics["shipped-chunks"],
 			DedupedChunks: exp.Metrics["deduped-chunks"],
+			LiveMBPerS:    live.Metrics["MB/s"],
+			LiveBytesOp:   live.Metrics["B/op"],
 		}
 	}
 	return nil

@@ -76,6 +76,31 @@ func TestMultisnapshotSummary(t *testing.T) {
 	}
 }
 
+// metaOutageFixture is a trimmed `go test -bench
+// BenchmarkFlashCrowdMetaOutage -benchmem -cpu 1` result line.
+const metaOutageFixture = `BenchmarkFlashCrowdMetaOutage 	       1	12884901888 ns/op	         5.000 seeds	        -1.250 completion-delta-median-s	        -5.340 completion-delta-min-s	         3.100 completion-delta-max-s	        17.20 healthy-completion-median-s	        16.90 outage-completion-median-s	     16012 meta-failovers-median	      2790 meta-re-replicated-median	1073741824 B/op	 4194304 allocs/op
+`
+
+func TestMetaOutageSummary(t *testing.T) {
+	benches := parseAll(t, metaOutageFixture)
+	var doc artifact
+	if err := metaOutageSummary(benches, &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := metaOutage{
+		Seeds:                  5,
+		CompletionDeltaMedianS: -1.25, CompletionDeltaMinS: -5.34, CompletionDeltaMaxS: 3.1,
+		HealthyCompletionMedianS: 17.2, OutageCompletionMedianS: 16.9,
+		MetaFailoversMedian: 16012, MetaRereplicatedMedian: 2790,
+	}
+	if *doc.MetaOutage != want {
+		t.Fatalf("summary %+v, want %+v", *doc.MetaOutage, want)
+	}
+	if err := metaOutageSummary(map[string]benchLine{}, &doc); err == nil {
+		t.Fatal("summary without the benchmark line succeeded")
+	}
+}
+
 // TestListMatchesCheckedInArtifacts: -list (which the CI artifact
 // check loops over) names exactly the BENCH_*.json files checked in at
 // the repository root, so a family cannot be added or dropped without

@@ -10,15 +10,13 @@ const (
 	FNVPrime64  uint64 = 1099511628211
 )
 
-// FoldFNV continues the FNV-64a state h over b.
-func FoldFNV(h uint64, b []byte) uint64 {
+// ContentHash returns the FNV-64a hash of b: the content fingerprint
+// of a real payload with these bytes.
+func ContentHash(b []byte) uint64 {
+	h := FNVOffset64
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= FNVPrime64
 	}
 	return h
 }
-
-// ContentHash returns the FNV-64a hash of b: the content fingerprint
-// of a real payload with these bytes.
-func ContentHash(b []byte) uint64 { return FoldFNV(FNVOffset64, b) }

@@ -171,11 +171,10 @@ func (ps *ProviderSet) NodePutRPCs() map[cluster.NodeID]int64 {
 type ChunkPut struct {
 	Key     ChunkKey
 	Payload Payload
-	// Print, when nonzero, is ContentHash(Payload.Data) computed and
-	// verified by the caller: under deduplication PutBatch takes it as
-	// the fingerprint of a real payload instead of hashing the bytes
-	// again. Zero (or a synthetic payload) leaves fingerprinting to
-	// PutBatch.
+	// Print, when nonzero, is the payload's fingerprint — ContentHash
+	// of real bytes — computed and verified by the caller: under
+	// deduplication PutBatch takes it instead of hashing the bytes
+	// again. Zero leaves fingerprinting to PutBatch.
 	Print uint64
 }
 
@@ -325,7 +324,7 @@ func (ps *ProviderSet) PutBatch(ctx *cluster.Ctx, puts []ChunkPut) error {
 
 // fingerprintBatch computes the content fingerprint of every payload
 // of a batch (ok[i] false for a payload with no identity), taking a
-// real payload's precomputed Print when it carries one. Hashing real
+// payload's precomputed Print when it carries one. Hashing real
 // bytes is the costly part of a deduplicated round, so a batch with
 // real bytes left to hash fans out over GOMAXPROCS goroutines, each
 // hashing one contiguous slice; synthetic payloads fingerprint from
@@ -335,7 +334,7 @@ func fingerprintBatch(puts []ChunkPut) (fps []uint64, ok []bool) {
 	unhashed := func(pt ChunkPut) bool { return pt.Payload.Real() && pt.Print == 0 }
 	hash := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if pt := puts[i]; pt.Print != 0 && pt.Payload.Real() {
+			if pt := puts[i]; pt.Print != 0 {
 				fps[i], ok[i] = pt.Print, true
 			} else {
 				fps[i], ok[i] = fingerprint(pt.Payload)

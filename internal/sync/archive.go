@@ -146,8 +146,8 @@ func payloadDigest(p blob.Payload) uint64 {
 // fold2 and fold3 continue two and three FNV-64a states over the same
 // bytes. FNV-64a is bound by the latency of its multiply, not by
 // throughput, so one loop folding independent states runs about as
-// fast as blob.FoldFNV folding one: a byte feeds every sum that covers
-// it (archive, section, chunk digest) in a single pass.
+// fast as blob.ContentHash folding one: a byte feeds every sum that
+// covers it (archive, section, chunk digest) in a single pass.
 func fold2(a, b uint64, p []byte) (uint64, uint64) {
 	for _, c := range p {
 		x := uint64(c)

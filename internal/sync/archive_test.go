@@ -157,6 +157,30 @@ func TestDecodeBoundedOnEndlessStream(t *testing.T) {
 	}
 }
 
+// TestDecodeLargePayload: a real payload longer than bodyStep arrives
+// through the growing buffer intact, and a cut inside it is a
+// truncation.
+func TestDecodeLargePayload(t *testing.T) {
+	a := sampleArchive()
+	data := make([]byte, 3*bodyStep+5)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	big := blob.RealPayload(data)
+	a.Chunks[0] = ChunkRecord{Key: 201, Payload: big, Digest: payloadDigest(big)}
+	raw := encodeArchive(a)
+	got, err := DecodeArchive(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Chunks[0].Payload.Data, data) {
+		t.Fatal("large payload differs after the round trip")
+	}
+	if _, err := DecodeArchive(bytes.NewReader(raw[:len(raw)/2])); !errors.Is(err, ErrArchiveCorrupt) {
+		t.Fatalf("cut inside the payload: err = %v, want ErrArchiveCorrupt", err)
+	}
+}
+
 // TestFusedFoldsMatchFNV: fold2 and fold3 continue each state exactly
 // as hash/fnv's FNV-64a would.
 func TestFusedFoldsMatchFNV(t *testing.T) {

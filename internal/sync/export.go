@@ -206,7 +206,7 @@ func Export(ctx *cluster.Ctx, sys *blob.System, t *Tracker, w io.Writer, id blob
 // provider set's index — ContentHash of the same bytes, which is the
 // digest — so only content without one is hashed here.
 func chunkDigest(ps *blob.ProviderSet, key blob.ChunkKey, p blob.Payload) uint64 {
-	if fp, ok := ps.StoredPrint(key); ok && p.Real() {
+	if fp, ok := ps.StoredPrint(key); ok {
 		return fp
 	}
 	return payloadDigest(p)

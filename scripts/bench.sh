@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # bench.sh runs the repository's key benchmarks — the paper-scale
-# figure regenerations plus the metadata hot-path microbenchmarks —
-# with allocation reporting, and writes the raw output to bench.txt
-# (the artifact CI uploads, and the input `benchstat old.txt new.txt`
-# compares across commits). It then distills the families via one
+# figure regenerations, the metadata hot-path microbenchmarks and the
+# live sync codec — with allocation reporting, and writes the raw
+# output to bench.txt (the artifact CI uploads, and the input
+# `benchstat old.txt new.txt` compares across commits). It then distills the families via one
 # cmd/benchjson run (`go run ./cmd/benchjson -list` names the files)
 # for dashboards that don't want to parse Go benchmark output: the
 # flash-crowd family (flash, degraded, crosszone) into
@@ -14,10 +14,12 @@
 # reduction factor and ns/op — and the metadata-outage family into
 # BENCH_metaoutage.json — flash-crowd completion healthy vs with half
 # the metadata providers and a compute rack down, with the failover,
-# re-replication and failed-descent counts — and the differential-sync
-# family into BENCH_export.json — average delta vs full-image bytes
-# shipped per sync round, with the reduction factor (gated at 5x) and
-# the shipped/deduplicated chunk counts — and the scale sweep into
+# re-replication and failed-descent counts, as the median, min and max
+# over five seeds of the paired completion delta — and the
+# differential-sync family into BENCH_export.json — average delta vs
+# full-image bytes shipped per sync round, with the reduction factor
+# (gated at 5x) and the shipped/deduplicated chunk counts, plus the
+# live export/import MB/s — and the scale sweep into
 # BENCH_scale.json — instances vs ns/op and allocs/op across
 # 256/1k/10k, the curve that shows the simulator itself scales.
 #
@@ -26,14 +28,17 @@ set -eu
 
 out="${1:-bench.txt}"
 
+# The simulation benches are deterministic: a -cpu 8 rerun repeats the
+# same work for the same result, so they run once, at -cpu 1 (the 10k
+# crowd included; it takes about a minute and a half).
 go test -run '^$' \
-  -bench 'BenchmarkFig4PaperScale|BenchmarkFlashCrowd256|BenchmarkFlashCrowdDegraded|BenchmarkFlashCrowdCrossZone|BenchmarkFlashCrowdMetaOutage|BenchmarkFlashCrowdScale|BenchmarkMultisnapshot1024|BenchmarkChurn|BenchmarkExportImport|BenchmarkCommitDataStructures|BenchmarkMetadataHotPath|BenchmarkMetadataColdDescent' \
-  -benchmem -count=1 -cpu 1,8 -timeout 30m . | tee "$out"
+  -bench '^(BenchmarkFig4PaperScale|BenchmarkFlashCrowd256|BenchmarkFlashCrowdDegraded|BenchmarkFlashCrowdCrossZone|BenchmarkFlashCrowdMetaOutage|BenchmarkFlashCrowdScale|BenchmarkFlashCrowd10k|BenchmarkMultisnapshot1024|BenchmarkChurn|BenchmarkExportImport|BenchmarkMaxMinRecompute)$' \
+  -benchmem -count=1 -cpu 1 -timeout 30m . | tee "$out"
 
-# The 10k point runs in its own invocation, once and at -cpu 1: the
-# simulation is deterministic, so a -cpu 8 rerun would only repeat the
-# same work.
-go test -run '^$' -bench 'BenchmarkFlashCrowd10k' \
-  -benchmem -count=1 -cpu 1 -timeout 10m . | tee -a "$out"
+# The live-fabric benches run real goroutines, so -cpu 1,8 shows lock
+# contention.
+go test -run '^$' \
+  -bench '^(BenchmarkExportImportLive|BenchmarkCommitDataStructures|BenchmarkMetadataHotPath|BenchmarkMetadataColdDescent)$' \
+  -benchmem -count=1 -cpu 1,8 -timeout 30m . | tee -a "$out"
 
 go run ./cmd/benchjson -in "$out"
